@@ -6,13 +6,12 @@ values live only in leaves, internal nodes hold separator keys, splits
 are size-based (entries are variable length), and deletion rebalances
 by merging or evenly redistributing siblings.
 
-The tree never caches node *pages* itself: every node touch is a
-``pager.read``/``pager.write``, so the owning file system sees and
-accounts for every page access (FSD's pager is its logged cache, CFS'
-pager is write-through to disk).  What it does keep is a host-side
-parse memo keyed by page bytes: re-reading an unchanged page skips the
-byte-level parse, but never the pager call, so simulated accounting is
-untouched.
+The tree keeps no pages or nodes of its own: every node touch is a
+``pager.read_node``/``pager.write_node``, so the owning file system
+sees and accounts for every page access (FSD's pager is its logged
+cache, CFS' pager is write-through to disk).  Nodes are immutable, so
+the tree may hold the parsed node the pager hands out; every edit
+builds new nodes and writes them back.
 """
 
 from __future__ import annotations
@@ -30,14 +29,6 @@ _META_MAGIC = 0x42543031  # "BT01"
 #: meta page layout: magic u32, root u32, height u32, count u64.
 _META = struct.Struct("<IIIQ")
 
-#: parsed-node memo entries kept before wholesale eviction; sized to
-#: cover a working set of hot pages without growing unboundedly on
-#: scan-heavy workloads.
-_PARSE_MEMO_LIMIT = 512
-
-#: per-page identity memo entries kept before wholesale eviction.
-_PAGE_MEMO_LIMIT = 2048
-
 
 class BTree:
     """A B-tree rooted in ``pager`` page 0 (the meta page)."""
@@ -49,19 +40,6 @@ class BTree:
         self._count = 0
         self._min_node_bytes = pager.page_size // 4
         self._max_entry = max_entry_bytes(pager.page_size)
-        #: bytes -> parsed Node template.  Keyed by page *value* (two
-        #: pages with identical bytes share one template, which is why
-        #: :meth:`_read_node` always hands out a copy — callers mutate
-        #: nodes in place before writing them back).
-        self._parse_memo: dict[bytes, Node] = {}
-        #: page_no -> (bytes object, template).  First-level cache in
-        #: front of :attr:`_parse_memo`: while the pager keeps handing
-        #: back the *same* bytes object for a page, the template is
-        #: reused on an ``is`` check alone — no 512-byte hash, no
-        #: re-parse.  A write (or cache eviction + re-read) yields a
-        #: fresh bytes object, so identity misses are exactly the
-        #: pages whose content may have changed.
-        self._page_memo: dict[int, tuple[bytes, Node]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -74,7 +52,7 @@ class BTree:
         tree._root = root
         tree._height = 1
         tree._count = 0
-        tree._write_node(root, Node(kind=LEAF))
+        pager.write_node(root, Node(kind=LEAF))
         tree._write_meta()
         return tree
 
@@ -90,26 +68,21 @@ class BTree:
     # ------------------------------------------------------------------
     def get(self, key: bytes) -> bytes | None:
         """Return the value for ``key`` or ``None``."""
-        # Point lookups dominate name-table traffic; the descent binds
-        # the pager read once and inlines the template identity-hit
-        # check (keep in sync with ``_load_template``).
-        read = self.pager.read
-        page_memo = self._page_memo
+        found = self.find(key)
+        return None if found is None else found[1].values[found[2]]
+
+    def find(self, key: bytes) -> tuple[int, Node, int] | None:
+        """Locate ``key``: (leaf page, leaf, index in the leaf), or None."""
+        read_node = self.pager.read_node
         page_no = self._root
-        while True:
-            data = read(page_no)
-            entry = page_memo.get(page_no)
-            if entry is not None and entry[0] is data:
-                node = entry[1]
-            else:
-                node = self._template_for(page_no, data)
-            if node.kind == LEAF:
-                break
+        node = read_node(page_no)
+        while node.kind != LEAF:
             page_no = node.children[bisect.bisect_right(node.keys, key)]
+            node = read_node(page_no)
         keys = node.keys
         index = bisect.bisect_left(keys, key)
         if index < len(keys) and keys[index] == key:
-            return node.values[index]
+            return page_no, node, index
         return None
 
     def insert(self, key: bytes, value: bytes) -> bool:
@@ -123,12 +96,12 @@ class BTree:
         if split is not None:
             separator, right_page = split
             new_root = self.pager.allocate()
-            self._write_node(
+            self.pager.write_node(
                 new_root,
                 Node(
                     kind=INTERNAL,
-                    keys=[separator],
-                    children=[self._root, right_page],
+                    keys=(separator,),
+                    children=(self._root, right_page),
                 ),
             )
             self._root = new_root
@@ -144,7 +117,7 @@ class BTree:
         deleted = self._delete(self._root, key)
         if not deleted:
             return False
-        root = self._load_template(self._root)
+        root = self.pager.read_node(self._root)
         if root.kind != LEAF and not root.keys:
             # The root collapsed to a single child; shrink the tree.
             old_root = self._root
@@ -159,11 +132,11 @@ class BTree:
         """Iterate entries in key order, beginning at ``start``."""
         # Return the inner iterator directly: a ``yield from`` wrapper
         # would add one generator resume per yielded entry.
-        return self._scan(self._root, start)
+        return self._scan(start)
 
     def scan_prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Iterate entries whose key begins with ``prefix``."""
-        for key, value in self._scan(self._root, prefix):
+        for key, value in self._scan(prefix):
             if not key.startswith(prefix):
                 return
             yield key, value
@@ -191,111 +164,41 @@ class BTree:
         self._count = reader.u64()
 
     # ------------------------------------------------------------------
-    # node I/O
-    # ------------------------------------------------------------------
-    def _load_template(self, page_no: int) -> Node:
-        """Shared parse-memo template for a page (never mutate it)."""
-        data = self.pager.read(page_no)
-        entry = self._page_memo.get(page_no)
-        if entry is not None and entry[0] is data:
-            return entry[1]
-        return self._template_for(page_no, data)
-
-    def _template_for(self, page_no: int, data: bytes) -> Node:
-        """Memo-miss half of :meth:`_load_template`: derive the template
-        from already-read page bytes and refresh both memo layers.  The
-        hot descent loops inline the read + identity-hit check and fall
-        back here, so keep this in sync with ``_load_template``."""
-        memo = self._parse_memo
-        template = memo.get(data)
-        if template is None:
-            if len(memo) >= _PARSE_MEMO_LIMIT:
-                memo.clear()
-            template = Node.from_bytes(data)
-            memo[data] = template
-        page_memo = self._page_memo
-        if len(page_memo) >= _PAGE_MEMO_LIMIT:
-            page_memo.clear()
-        page_memo[page_no] = (data, template)
-        return template
-
-    def _read_node(self, page_no: int) -> Node:
-        template = self._load_template(page_no)
-        return Node(
-            template.kind,
-            template.keys.copy(),
-            template.values.copy(),
-            template.children.copy(),
-        )
-
-    def _read_node_ro(self, page_no: int) -> Node:
-        """Read a node for read-only traversal: returns the shared
-        parse-memo template directly, skipping the per-call list
-        copies.  Callers must never mutate the result — mutation paths
-        (insert/delete/rebalance) go through :meth:`_read_node`."""
-        return self._load_template(page_no)
-
-    def _write_node(self, page_no: int, node: Node) -> None:
-        # Drop the identity entry: the page's bytes are changing, so
-        # the next read must re-derive its template (usually via the
-        # content memo, or a fresh parse).
-        self._page_memo.pop(page_no, None)
-        self.pager.write(page_no, node.to_bytes(self.pager.page_size))
-
-    # ------------------------------------------------------------------
-    # descent helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _child_index(node: Node, key: bytes) -> int:
-        """Index of the child subtree that may contain ``key``."""
-        return bisect.bisect_right(node.keys, key)
-
-    def _child_for(self, node: Node, key: bytes) -> int:
-        return node.children[self._child_index(node, key)]
-
-    # ------------------------------------------------------------------
     # insert
     # ------------------------------------------------------------------
     def _insert(
         self, page_no: int, key: bytes, value: bytes
     ) -> tuple[bool, tuple[bytes, int] | None]:
-        # Descend on the shared template; materialise a mutable copy
-        # only at the level that actually changes (leaves always do,
-        # internal nodes only when a split bubbles up).
-        template = self._load_template(page_no)
-        if template.kind == LEAF:
-            node = Node(
-                LEAF, template.keys.copy(), template.values.copy(), []
-            )
-            index = bisect.bisect_left(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                node.values[index] = value
-                was_new = False
+        # Descend on the pager's shared nodes; a new node is built only
+        # at the levels that change (leaves always do, internal nodes
+        # only when a split bubbles up).
+        node = self.pager.read_node(page_no)
+        keys = node.keys
+        if node.kind == LEAF:
+            index = bisect.bisect_left(keys, key)
+            values = node.values
+            was_new = not (index < len(keys) and keys[index] == key)
+            if was_new:
+                node = Node(
+                    LEAF, _inserted(keys, index, key), _inserted(values, index, value)
+                )
             else:
-                node.keys.insert(index, key)
-                node.values.insert(index, value)
-                was_new = True
+                node = Node(LEAF, keys, _replaced(values, index, value))
         else:
-            child_index = bisect.bisect_right(template.keys, key)
-            was_new, split = self._insert(
-                template.children[child_index], key, value
-            )
+            child_index = bisect.bisect_right(keys, key)
+            was_new, split = self._insert(node.children[child_index], key, value)
             if split is None:
                 return was_new, None
-            # The recursion only wrote descendant pages, so the
-            # template still matches this page's bytes; copy it now.
+            separator, right_page = split
             node = Node(
                 INTERNAL,
-                template.keys.copy(),
-                [],
-                template.children.copy(),
+                _inserted(keys, child_index, separator),
+                (),
+                _inserted(node.children, child_index + 1, right_page),
             )
-            separator, right_page = split
-            node.keys.insert(child_index, separator)
-            node.children.insert(child_index + 1, right_page)
 
         if node.fits(self.pager.page_size):
-            self._write_node(page_no, node)
+            self.pager.write_node(page_no, node)
             return was_new, None
         return was_new, self._split_and_write(page_no, node)
 
@@ -303,54 +206,49 @@ class BTree:
         """Split an oversized node in two; returns (separator, right page)."""
         left, separator, right = _split_node(node)
         right_page = self.pager.allocate()
-        self._write_node(page_no, left)
-        self._write_node(right_page, right)
+        self.pager.write_node(page_no, left)
+        self.pager.write_node(right_page, right)
         return separator, right_page
 
     # ------------------------------------------------------------------
     # delete
     # ------------------------------------------------------------------
     def _delete(self, page_no: int, key: bytes) -> bool:
-        # Same copy-on-write shape as _insert: mutable copies are built
-        # only for levels that change (the leaf, and the parent once
-        # the child delete succeeded and may need rebalancing).
-        template = self._load_template(page_no)
-        keys = template.keys
-        if template.kind == LEAF:
+        node = self.pager.read_node(page_no)
+        keys = node.keys
+        if node.kind == LEAF:
             index = bisect.bisect_left(keys, key)
             if index >= len(keys) or keys[index] != key:
                 return False
-            node = Node(LEAF, keys.copy(), template.values.copy(), [])
-            del node.keys[index]
-            del node.values[index]
-            self._write_node(page_no, node)
+            self.pager.write_node(
+                page_no,
+                Node(LEAF, _removed(keys, index), _removed(node.values, index)),
+            )
             return True
 
         child_index = bisect.bisect_right(keys, key)
-        if not self._delete(template.children[child_index], key):
+        if not self._delete(node.children[child_index], key):
             return False
-        node = Node(INTERNAL, keys.copy(), [], template.children.copy())
-        if self._fix_child(node, child_index):
-            self._write_node(page_no, node)
+        fixed = self._fix_child(node, child_index)
+        if fixed is not None:
+            self.pager.write_node(page_no, fixed)
         return True
 
-    def _fix_child(self, parent: Node, child_index: int) -> bool:
+    def _fix_child(self, parent: Node, child_index: int) -> Node | None:
         """Rebalance ``parent.children[child_index]`` if underfull.
 
-        Returns True when the parent itself was modified.  Merges the
-        child with a sibling when the combination fits in one page,
-        otherwise redistributes entries evenly between the two.
+        Returns the rewritten parent, or None when it is unchanged.
+        Merges the child with a sibling when the combination fits in
+        one page, otherwise redistributes entries evenly between the
+        two.
         """
+        read_node = self.pager.read_node
         child_page = parent.children[child_index]
-        # Templates suffice throughout: the rebalance builds fresh
-        # nodes (_merge_nodes / _split_node never mutate their inputs),
-        # so nothing here needs a mutable copy except ``parent``,
-        # which the caller already materialised.
-        child = self._load_template(child_page)
+        child = read_node(child_page)
         if child.serialized_size() >= self._min_node_bytes and child.keys:
-            return False
+            return None
         if len(parent.children) == 1:
-            return False  # nothing to balance against (root's only child)
+            return None  # nothing to balance against (root's only child)
 
         if child_index + 1 < len(parent.children):
             left_index = child_index
@@ -358,89 +256,73 @@ class BTree:
             left_index = child_index - 1
         left_page = parent.children[left_index]
         right_page = parent.children[left_index + 1]
-        left = child if left_page == child_page else self._load_template(left_page)
-        right = child if right_page == child_page else self._load_template(right_page)
+        left = child if left_page == child_page else read_node(left_page)
+        right = child if right_page == child_page else read_node(right_page)
         separator = parent.keys[left_index]
 
         merged = _merge_nodes(left, separator, right)
         if merged.fits(self.pager.page_size):
-            self._write_node(left_page, merged)
+            self.pager.write_node(left_page, merged)
             self.pager.free(right_page)
-            del parent.keys[left_index]
-            del parent.children[left_index + 1]
-            return True
+            return Node(
+                INTERNAL,
+                _removed(parent.keys, left_index),
+                (),
+                _removed(parent.children, left_index + 1),
+            )
 
         new_left, new_separator, new_right = _split_node(merged)
-        self._write_node(left_page, new_left)
-        self._write_node(right_page, new_right)
-        parent.keys[left_index] = new_separator
-        return True
+        self.pager.write_node(left_page, new_left)
+        self.pager.write_node(right_page, new_right)
+        return Node(
+            INTERNAL,
+            _replaced(parent.keys, left_index, new_separator),
+            (),
+            parent.children,
+        )
 
     # ------------------------------------------------------------------
     # scan
     # ------------------------------------------------------------------
     def scan_leaves(
         self, start: bytes | None = None
-    ) -> Iterator[tuple[list[bytes], list[bytes]]]:
-        """Yield (keys, values) per leaf, in key order.
+    ) -> Iterator[tuple[int, Node, int]]:
+        """Yield (page_no, leaf, first) per leaf, in key order.
 
         Batch counterpart of :meth:`scan` for bulk readers (the name
         table's ``enumerate``): one generator resume per *leaf* instead
-        of per entry.  The yielded lists belong to the shared parse
-        templates — callers must never mutate them.
+        of per entry.  ``first`` is the index of the leaf's first entry
+        at or after ``start``.
         """
-        stack: list[tuple[int, bytes | None]] = [(self._root, start)]
-        read = self.pager.read
-        page_memo = self._page_memo
-        while stack:
-            page_no, start = stack.pop()
-            # _load_template inlined (identity-hit path); keep in sync.
-            data = read(page_no)
-            entry = page_memo.get(page_no)
-            if entry is not None and entry[0] is data:
-                node = entry[1]
-            else:
-                node = self._template_for(page_no, data)
-            keys = node.keys
-            if node.kind == LEAF:
-                if start is None:
-                    yield keys, node.values
-                else:
-                    first = bisect.bisect_left(keys, start)
-                    yield keys[first:], node.values[first:]
-                continue
-            first = 0 if start is None else bisect.bisect_right(keys, start)
-            children = node.children
-            for index in range(len(children) - 1, first, -1):
-                stack.append((children[index], None))
-            stack.append((children[first], start))
+        for page_no, node, start in self._walk_leaves(start):
+            first = 0 if start is None else bisect.bisect_left(node.keys, start)
+            yield page_no, node, first
 
-    def _scan(
-        self, page_no: int, start: bytes | None
-    ) -> Iterator[tuple[bytes, bytes]]:
+    def _scan(self, start: bytes | None) -> Iterator[tuple[bytes, bytes]]:
+        for _, node, start in self._walk_leaves(start):
+            if start is None:
+                yield from zip(node.keys, node.values)
+            else:
+                first = bisect.bisect_left(node.keys, start)
+                yield from zip(node.keys[first:], node.values[first:])
+
+    def _walk_leaves(
+        self, start: bytes | None
+    ) -> Iterator[tuple[int, Node, bytes | None]]:
+        """Yield (page_no, leaf, start) for every leaf that may hold keys
+        at or after ``start``; ``start`` is None past the first leaf."""
         # Iterative depth-first walk (explicit stack, leftmost subtree
         # on top): same node-read order as the recursive form, without
-        # a generator frame per level per item.
-        stack: list[tuple[int, bytes | None]] = [(page_no, start)]
-        read = self.pager.read
-        page_memo = self._page_memo
+        # a generator frame per level.
+        stack: list[tuple[int, bytes | None]] = [(self._root, start)]
+        read_node = self.pager.read_node
         while stack:
             page_no, start = stack.pop()
-            # _load_template inlined (identity-hit path); keep in sync.
-            data = read(page_no)
-            entry = page_memo.get(page_no)
-            if entry is not None and entry[0] is data:
-                node = entry[1]
-            else:
-                node = self._template_for(page_no, data)
-            keys = node.keys
+            node = read_node(page_no)
             if node.kind == LEAF:
-                if start is None:
-                    yield from zip(keys, node.values)
-                else:
-                    first = bisect.bisect_left(keys, start)
-                    yield from zip(keys[first:], node.values[first:])
+                yield page_no, node, start
                 continue
+            keys = node.keys
             first = 0 if start is None else bisect.bisect_right(keys, start)
             children = node.children
             for index in range(len(children) - 1, first, -1):
@@ -462,10 +344,10 @@ class BTree:
     def _check(
         self, page_no: int, low: bytes | None, high: bytes | None, depth: int
     ) -> int:
-        node = self._read_node(page_no)
+        node = self.pager.read_node(page_no)
         if not node.fits(self.pager.page_size):
             raise CorruptMetadata(f"page {page_no} oversized")
-        if node.keys != sorted(node.keys):
+        if list(node.keys) != sorted(node.keys):
             raise CorruptMetadata(f"page {page_no} keys out of order")
         if len(set(node.keys)) != len(node.keys):
             raise CorruptMetadata(f"page {page_no} duplicate keys")
@@ -509,9 +391,7 @@ def _split_node(node: Node) -> tuple[Node, bytes, Node]:
         split = _even_split_index(
             [4 + len(k) + len(v) for k, v in zip(node.keys, node.values)]
         )
-        left = Node(
-            kind=LEAF, keys=node.keys[:split], values=node.values[:split]
-        )
+        left = Node(kind=LEAF, keys=node.keys[:split], values=node.values[:split])
         right = Node(
             kind=LEAF, keys=node.keys[split:], values=node.values[split:]
         )
@@ -546,9 +426,21 @@ def _merge_nodes(left: Node, separator: bytes, right: Node) -> Node:
         )
     return Node(
         kind=INTERNAL,
-        keys=left.keys + [separator] + right.keys,
+        keys=left.keys + (separator,) + right.keys,
         children=left.children + right.children,
     )
+
+
+def _inserted(items: tuple, index: int, item) -> tuple:
+    return items[:index] + (item,) + items[index:]
+
+
+def _replaced(items: tuple, index: int, item) -> tuple:
+    return items[:index] + (item,) + items[index + 1 :]
+
+
+def _removed(items: tuple, index: int) -> tuple:
+    return items[:index] + items[index + 1 :]
 
 
 def _even_split_index(entry_sizes: list[int]) -> int:

@@ -4,12 +4,16 @@ Nodes are small (one disk sector in FSD, two in CFS), so nodes are
 fully re-serialized on every write; simplicity beats in-page slot
 surgery at this scale, and every byte still round-trips through the
 simulated disk.
+
+Nodes are immutable (a frozen dataclass over tuples): a parsed node is
+shared by every reader of its cached page, and every edit builds a
+new node, so a write path can never change what another reader sees.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CorruptMetadata
 
@@ -32,7 +36,7 @@ _INTERNAL_ENTRY = struct.Struct("<HI")
 _U32 = struct.Struct("<I")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """One B-tree node, either a leaf or an internal node.
 
@@ -43,9 +47,9 @@ class Node:
     """
 
     kind: int
-    keys: list[bytes] = field(default_factory=list)
-    values: list[bytes] = field(default_factory=list)
-    children: list[int] = field(default_factory=list)
+    keys: tuple[bytes, ...] = ()
+    values: tuple[bytes, ...] = ()
+    children: tuple[int, ...] = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -115,10 +119,10 @@ class Node:
         count = data[1] | (data[2] << 8)
         offset = _NODE_HEADER_BYTES
         keys: list[bytes] = []
-        node = cls(kind=kind, keys=keys)
+        values: list[bytes] = []
+        children: list[int] = []
         try:
             if kind == LEAF:
-                values = node.values
                 for _ in range(count):
                     klen = data[offset] | (data[offset + 1] << 8)
                     vlen = data[offset + 2] | (data[offset + 3] << 8)
@@ -130,7 +134,6 @@ class Node:
                     values.append(data[offset + klen:end])
                     offset = end
             else:
-                children = node.children
                 children.append(
                     int.from_bytes(data[offset:offset + 4], "little")
                 )
@@ -151,7 +154,7 @@ class Node:
                 f"truncated structure: wanted more bytes at "
                 f"offset {offset} of {size}"
             ) from None
-        return node
+        return cls(kind, tuple(keys), tuple(values), tuple(children))
 
 
 def max_entry_bytes(page_size: int) -> int:

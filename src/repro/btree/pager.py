@@ -10,6 +10,11 @@ reproduction; only the pager differs:
   (:mod:`repro.disk.sched`) rather than written in place — queued
   pages land elevator-sorted behind the log records that cover them.
 
+The tree moves whole nodes through ``read_node``/``write_node``.  A
+byte-level pager (CFS', :class:`MemoryPager`) gets them from
+:class:`NodeCodec`, which parses on every read; FSD's pager hands out
+the parsed node its cache entry holds.
+
 ``MemoryPager`` exists for unit and property tests.
 """
 
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.errors import CorruptMetadata, DegradedVolumeError
+from repro.btree.node import Node
+from repro.errors import CorruptMetadata
 from repro.obs import NULL_OBS
 
 
@@ -46,6 +52,14 @@ class Pager(Protocol):
         """Store the page, padded to the page size."""
         ...
 
+    def read_node(self, page_no: int) -> Node:
+        """:meth:`read` the page as an immutable parsed node."""
+        ...
+
+    def write_node(self, page_no: int, node: Node) -> None:
+        """:meth:`write` the node's serialized page."""
+        ...
+
     def allocate(self) -> int:
         """Hand out an unused page number (never 0)."""
         ...
@@ -55,7 +69,21 @@ class Pager(Protocol):
         ...
 
 
-class MemoryPager:
+class NodeCodec:
+    """Node access for byte-level pagers: parse on every read."""
+
+    page_size: int
+
+    def read_node(self, page_no: int) -> Node:
+        """:meth:`read` the page as an immutable parsed node."""
+        return Node.from_bytes(self.read(page_no))
+
+    def write_node(self, page_no: int, node: Node) -> None:
+        """:meth:`write` the node's serialized page."""
+        self.write(page_no, node.to_bytes(self.page_size))
+
+
+class MemoryPager(NodeCodec):
     """In-memory pager for tests; enforces the page-size contract."""
 
     def __init__(self, page_size: int = 512, page_limit: int | None = None):
@@ -66,21 +94,13 @@ class MemoryPager:
         self._next = 1  # page 0 is the meta page
         self.reads = 0
         self.writes = 0
-        self._poisoned: set[int] = set()
         #: observability attach point (no-op unless a test attaches one).
         self.obs = NULL_OBS
-
-    def poison(self, page_no: int) -> None:
-        """Make ``page_no`` unreadable (tests: a page whose backing
-        store exhausted the escalation ladder)."""
-        self._poisoned.add(page_no)
 
     def read(self, page_no: int) -> bytes:
         """Return the page; raises for never-allocated non-meta pages."""
         self.reads += 1
         self.obs.count("btree.page_reads")
-        if page_no in self._poisoned:
-            raise DegradedVolumeError(f"memory pager page {page_no} dead")
         if page_no != 0 and page_no not in self._pages:
             raise CorruptMetadata(f"read of unallocated page {page_no}")
         return self._pages.get(page_no, b"\x00" * self.page_size)

@@ -23,6 +23,7 @@ from collections import OrderedDict
 from typing import Iterator
 
 from repro.btree import BTree
+from repro.btree.pager import NodeCodec
 from repro.cfs.labels import PAGE_NAME_TABLE, make_label
 from repro.core.types import (
     FileProperties,
@@ -42,7 +43,7 @@ NT_PAGE_SECTORS = 2
 NAME_TABLE_UID = 0x4346534E54  # "CFSNT"
 
 
-class CfsNameTablePager:
+class CfsNameTablePager(NodeCodec):
     """Write-through pager over the CFS name-table extent."""
 
     def __init__(
@@ -184,10 +185,8 @@ class CfsNameTable:
         self.pager.mark_used(0)
 
         def walk(page_no: int) -> None:
-            from repro.btree.node import Node
-
             self.pager.mark_used(page_no)
-            node = Node.from_bytes(self.pager.read(page_no))
+            node = self.pager.read_node(page_no)
             if not node.is_leaf:
                 for child in node.children:
                     walk(child)

@@ -26,19 +26,44 @@ under ``fifo`` they dispatch immediately in program order.
 
 Cached name-table pages are conceptually read-only between updates —
 the paper keeps them read-protected to catch wild stores.  Here the
-analogous guard is that the cache hands out ``bytes`` (immutable) and
-only :meth:`write_nt`/:meth:`write_leader` can change cache state.
+analogous guard is that the cache hands out immutable values only:
+page ``bytes``, the page's parsed :class:`~repro.btree.node.Node`
+(parsed on the first node read, kept until the page is written,
+evicted, rolled back or discarded) and, for name-table leaves, a
+decoded view the name table builds once per parsed node.  Only
+:meth:`write_nt`/:meth:`write_leader`/:meth:`write_vam` change a page.
+
+Eviction takes the least-recently-touched *unpinned* entries.  As in
+xv6's ``bpin``/``bunpin``, pinned entries sit outside the eviction
+order: a min-heap on ``(lru_tick, key)`` holds unpinned entries only,
+so evicting costs O(log n) however many pages are pinned.  The heap is
+validated lazily: hits only bump ``lru_tick``, so a popped item whose
+tick is stale is re-filed at the entry's current tick; a popped entry
+that is gone or pinned is dropped, and re-enters when it unpins.
+
+An evicted name-table page leaves its parsed node and view behind as a
+*ghost* (host memory only, never counted against the capacity): a
+later miss still pays the simulated double read, but when the bytes it
+reads back equal the ghost's, the page gets its node and view back
+instead of being parsed and decoded again.  A listing that cycles
+through more leaves than the cache holds re-reads every leaf each time,
+and this is what keeps its host cost flat.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable
 
+from repro.btree.node import Node
 from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, PAGE_VAM, LoggedPage
 from repro.errors import CorruptMetadata
 from repro.obs import NULL_OBS
+
+#: most ghosts (decoded forms of evicted name-table pages) kept; the
+#: oldest is dropped first.
+GHOST_PAGES = 1024
 
 
 @dataclass(slots=True)
@@ -51,6 +76,10 @@ class CacheEntry:
     home_image: bytes | None = None
     last_logged_third: int | None = None
     lru_tick: int = 0
+    #: parsed name-table node for ``data`` (None until first node read)
+    node: Node | None = None
+    #: decoded view of ``node`` (name-table leaves, built by the reader)
+    view: tuple | None = None
 
     @property
     def home_stale(self) -> bool:
@@ -102,14 +131,16 @@ class MetadataCache:
         #: the admission/pressure checks on every operation are O(1)
         #: instead of a full cache scan.
         self._dirty: dict[tuple[int, int], CacheEntry] = {}
-        #: recency order (oldest first), kept in lockstep with
-        #: ``lru_tick``: iterating from the front visits entries in
-        #: exactly ascending-tick order, so eviction walks a prefix
-        #: instead of sorting the whole cache on every miss.
-        self._lru: OrderedDict[tuple[int, int], CacheEntry] = OrderedDict()
+        #: eviction candidates as ``(lru_tick, key)``, lazily validated
+        #: (see the module docstring): every unpinned entry has an item
+        #: whose tick is at most its current ``lru_tick``.
+        self._heap: list[tuple[int, tuple[int, int]]] = []
+        #: page_no -> (data, node, view) of evicted name-table pages,
+        #: oldest eviction first (see the module docstring).
+        self._ghosts: dict[int, tuple[bytes, Node, tuple | None]] = {}
         #: lazily bound handle for the ``cache.hits`` counter (the
-        #: hottest metric in the system); ``read_nt`` binds it on the
-        #: first hit with a live observer attached.
+        #: hottest metric in the system); ``_lookup`` binds it on the
+        #: first hit.
         self._hit_counter = None
         self._tick = 0
         self.hits = 0
@@ -134,6 +165,30 @@ class MetadataCache:
     # ------------------------------------------------------------------
     def read_nt(self, page_no: int) -> bytes:
         """Read a name-table page, via the cache (miss = double read)."""
+        return self._lookup(page_no).data
+
+    def read_node(self, page_no: int) -> Node:
+        """Read a name-table page as its parsed, immutable node."""
+        entry = self._lookup(page_no)
+        node = entry.node
+        if node is None:
+            node = entry.node = Node.from_bytes(entry.data)
+        return node
+
+    def leaf_view(
+        self, page_no: int, node: Node, build: Callable[[Node], tuple]
+    ) -> tuple:
+        """The decoded view ``build(node)`` of a node :meth:`read_node`
+        returned, built once per cached node and shared thereafter."""
+        entry = self._entries.get((PAGE_NAME_TABLE, page_no))
+        if entry is None or entry.node is not node:
+            return build(node)
+        view = entry.view
+        if view is None:
+            view = entry.view = build(node)
+        return view
+
+    def _lookup(self, page_no: int) -> CacheEntry:
         key = (PAGE_NAME_TABLE, page_no)
         entry = self._entries.get(key)
         if entry is not None:
@@ -143,37 +198,31 @@ class MetadataCache:
                 counter.value += 1
             else:
                 # First hit goes through the normal path (so the
-                # counter is created lazily, exactly as before), then
-                # the handle is bound for every later hit.
+                # counter is created lazily), then the handle is bound
+                # for every later hit.
                 obs = self.obs
                 obs.count("cache.hits")
                 if obs.enabled:
                     self._hit_counter = obs.metrics.counter("cache.hits")
                 else:
                     self._hit_counter = _NullCounter()
-            # _touch inlined: this is the hottest cache path.  Every
-            # entry in ``_entries`` is also in ``_lru`` (both are
-            # populated by ``_touch`` and pruned together by
-            # ``_evict_if_needed``), so a bare move_to_end suffices;
-            # the fallback re-inserts if that invariant ever breaks.
             self._tick += 1
             entry.lru_tick = self._tick
-            lru = self._lru
-            try:
-                lru.move_to_end(key)
-            except KeyError:
-                lru[key] = entry
-            return entry.data
+            return entry
         self.misses += 1
         self.obs.count("cache.misses")
         data = self._nt_reader(page_no)
         entry = CacheEntry(
             kind=PAGE_NAME_TABLE, page_id=page_no, data=data, home_image=data
         )
+        ghost = self._ghosts.pop(page_no, None)
+        if ghost is not None and ghost[0] == data:
+            entry.node, entry.view = ghost[1], ghost[2]
         self._entries[key] = entry
         self._touch(entry)
+        self._file(entry)
         self._evict_if_needed()
-        return data
+        return entry
 
     def write_nt(self, page_no: int, data: bytes) -> None:
         """Apply an update to a cached name-table page (dirty until logged)."""
@@ -183,6 +232,7 @@ class MetadataCache:
             entry = CacheEntry(kind=PAGE_NAME_TABLE, page_id=page_no, data=data)
             self._entries[key] = entry
         entry.data = data
+        entry.node = entry.view = None
         entry.needs_log = True
         self._dirty[key] = entry
         self._touch(entry)
@@ -218,12 +268,12 @@ class MetadataCache:
         entry = self._entries.get((PAGE_LEADER, address))
         if entry is not None:
             entry.home_image = entry.data
+            self._file(entry)
 
     def drop_leader(self, address: int) -> None:
         """Forget a leader (its file was deleted before writeback)."""
         self._entries.pop((PAGE_LEADER, address), None)
         self._dirty.pop((PAGE_LEADER, address), None)
-        self._lru.pop((PAGE_LEADER, address), None)
 
     # ------------------------------------------------------------------
     # VAM pages (§5.3 extension, only used when log_vam is enabled)
@@ -267,6 +317,7 @@ class MetadataCache:
             # it stays dirty for the next commit.
             entry.logged_image = page.data
             entry.last_logged_third = third
+            self._file(entry)
         self._evict_if_needed()
 
     def flush_third(self, third: int) -> None:
@@ -289,6 +340,7 @@ class MetadataCache:
                 self._leader_writer(entry.page_id, entry.logged_image)
                 self.home_writes += 1
             entry.home_image = entry.logged_image
+            self._file(entry)
         if nt_batch:
             nt_batch.sort()
             self._nt_writer(nt_batch)
@@ -314,7 +366,8 @@ class MetadataCache:
         """A crash: volatile state vanishes."""
         self._entries.clear()
         self._dirty.clear()
-        self._lru.clear()
+        self._heap.clear()
+        self._ghosts.clear()
 
     def rollback_uncommitted(self) -> int:
         """Degraded-mode switch: abandon every update not yet logged.
@@ -332,10 +385,11 @@ class MetadataCache:
             rolled_back += 1
             if entry.logged_image is None:
                 del self._entries[key]
-                self._lru.pop(key, None)
             else:
                 entry.data = entry.logged_image
+                entry.node = entry.view = None
                 entry.needs_log = False
+                self._file(entry)
         self._dirty.clear()
         self.obs.count("cache.rollbacks", rolled_back)
         return rolled_back
@@ -346,33 +400,55 @@ class MetadataCache:
     def _touch(self, entry: CacheEntry) -> None:
         self._tick += 1
         entry.lru_tick = self._tick
-        key = (entry.kind, entry.page_id)
-        lru = self._lru
-        lru[key] = entry
-        lru.move_to_end(key)
+
+    def _file(self, entry: CacheEntry) -> None:
+        """Make an entry an eviction candidate if it is unpinned."""
+        if not entry.evictable:
+            return
+        heap = self._heap
+        heappush(heap, (entry.lru_tick, (entry.kind, entry.page_id)))
+        if len(heap) > 2 * len(self._entries) + 16:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap with one current item per unpinned entry
+        (stale, pinned and evicted items otherwise pile up when the
+        cache rarely overflows)."""
+        self._heap = [
+            (entry.lru_tick, key)
+            for key, entry in self._entries.items()
+            if entry.evictable
+        ]
+        heapify(self._heap)
 
     def _evict_if_needed(self) -> None:
         excess = len(self._entries) - self.capacity
         if excess <= 0:
             return
-        # Walk the recency order oldest-first, skipping pinned entries
-        # (inline evictable predicate: no property dispatch).  This
-        # selects exactly the entries a sort by ``lru_tick`` would,
-        # without scanning the whole cache on every miss.
-        victims = []
-        for key, entry in self._lru.items():
-            if not entry.needs_log and (
-                entry.logged_image is None
-                or entry.logged_image == entry.home_image
-            ):
-                victims.append(key)
-                if len(victims) == excess:
-                    break
-        for key in victims:
-            del self._entries[key]
-            del self._lru[key]
-            self.evictions += 1
-            self.obs.count("cache.evictions")
+        heap = self._heap
+        entries = self._entries
+        while excess > 0 and heap:
+            tick, key = heap[0]
+            entry = entries.get(key)
+            if entry is None or not entry.evictable:
+                heappop(heap)  # gone, or pinned until it is filed again
+            elif entry.lru_tick != tick:
+                heapreplace(heap, (entry.lru_tick, key))  # touched since
+            else:
+                heappop(heap)
+                del entries[key]
+                if entry.node is not None:
+                    self._bury(entry)
+                self.evictions += 1
+                self.obs.count("cache.evictions")
+                excess -= 1
+
+    def _bury(self, entry: CacheEntry) -> None:
+        ghosts = self._ghosts
+        ghosts.pop(entry.page_id, None)  # re-file as the newest ghost
+        ghosts[entry.page_id] = (entry.data, entry.node, entry.view)
+        if len(ghosts) > GHOST_PAGES:
+            del ghosts[next(iter(ghosts))]
 
     def __len__(self) -> int:
         return len(self._entries)

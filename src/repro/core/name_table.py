@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.btree import BTree
+from repro.btree import BTree, Node
+from repro.btree.pager import NodeCodec
 from repro.core.cache import MetadataCache, _NullCounter
-from repro.core.wal import PAGE_NAME_TABLE
 from repro.core.layout import VolumeLayout
-from repro.core import types
 from repro.core.types import (
     MAX_INLINE_RUNS,
     MAX_RUNS_PER_CHUNK,
@@ -28,7 +27,7 @@ from repro.core.types import (
     RunTable,
     decode_continuation,
     decode_key,
-    decode_main_entry,
+    decode_main_fields,
     encode_continuation,
     encode_key,
     encode_main_entry,
@@ -170,8 +169,13 @@ def _contiguous_groups(
         yield group
 
 
-class NameTablePager:
+class NameTablePager(NodeCodec):
     """B-tree pager over the metadata cache.
+
+    Every page touch charges the fixed per-node CPU cost and counts a
+    ``btree.page_reads``/``btree.page_writes``; parsed nodes and leaf
+    views come from the cache entry, so a page is parsed once per
+    cache load.
 
     Page allocation within the preallocated name-table extent uses a
     bitmap stored in the first pages of the table itself, so it is
@@ -212,6 +216,20 @@ class NameTablePager:
     # -- Pager protocol -------------------------------------------------
     def read(self, page_no: int) -> bytes:
         """B-tree pager read: one cached name-table page."""
+        self._charge_read()
+        return self.cache.read_nt(page_no)
+
+    def read_node(self, page_no: int) -> Node:
+        """B-tree pager read: one cached name-table page, parsed."""
+        self._charge_read()
+        return self.cache.read_node(page_no)
+
+    def leaf_view(self, page_no: int, node: Node) -> tuple:
+        """The decoded entries of a leaf from :meth:`read_node` (no
+        charge: the node read already paid for the page touch)."""
+        return self.cache.leaf_view(page_no, node, _decode_leaf)
+
+    def _charge_read(self) -> None:
         clock = self.clock
         # advance_cpu inlined: btree_node_ms is a fixed positive cost
         # and this is the hottest clock charge in the metadata path.
@@ -231,24 +249,6 @@ class NameTablePager:
                 self._read_counter = obs.metrics.counter("btree.page_reads")
             else:
                 self._read_counter = _NullCounter()
-        # cache.read_nt's hit path inlined (same statements, one frame
-        # for the whole pager read); misses fall through to the method.
-        cache = self.cache
-        key = (PAGE_NAME_TABLE, page_no)
-        entry = cache._entries.get(key)
-        if entry is not None:
-            hit_counter = cache._hit_counter
-            if hit_counter is not None:
-                cache.hits += 1
-                hit_counter.value += 1
-                cache._tick += 1
-                entry.lru_tick = cache._tick
-                try:
-                    cache._lru.move_to_end(key)
-                except KeyError:
-                    cache._lru[key] = entry
-                return entry.data
-        return cache.read_nt(page_no)
 
     def write(self, page_no: int, data: bytes) -> None:
         """B-tree pager write: stage the page for the next commit."""
@@ -380,10 +380,12 @@ class FsdNameTable:
     ) -> tuple[FileProperties, RunTable] | None:
         """Full entry for (name, version), continuations resolved."""
         self.clock.advance_cpu(self.clock.cpu.entry_interpret_ms)
-        value = self.tree.get(encode_key(name, version, 0))
-        if value is None:
+        found = self.tree.find(encode_key(name, version, 0))
+        if found is None:
             return None
-        props, runs, total_runs = decode_main_entry(name, version, value)
+        page_no, leaf, index = found
+        props, inline, total_runs = self.tree.pager.leaf_view(page_no, leaf)[index][3]
+        runs = RunTable(list(inline))
         chunk = 1
         while len(runs.runs) < total_runs:
             more = self.tree.get(encode_key(name, version, chunk))
@@ -437,41 +439,18 @@ class FsdNameTable:
         from the name table, no per-file I/O.
         """
         current: tuple[FileProperties, RunTable] | None = None
-        expected_runs = 0
-        start = prefix.encode("utf-8") if prefix else None
-        clock = self.clock
-        interpret_ms = clock.cpu.entry_interpret_ms
-        # decode_key memo-hit inlined: one dict probe per entry, with
-        # the decoding call only on a cold key.  Leaf-batched scan: one
-        # generator resume per leaf page, not per entry.
-        key_memo = types._KEY_MEMO
-        for keys, values in self.tree.scan_leaves(start):
-            for key, value in zip(keys, values):
-                decoded = key_memo.get(key)
-                if decoded is None:
-                    decoded = decode_key(key)
-                name, version, chunk = decoded
-                if prefix and not name.startswith(prefix):
-                    if current is not None:
-                        yield current
-                    return
-                # advance_cpu inlined: fixed positive cost, once per
-                # entry of every list operation.
-                clock.now_ms += interpret_ms
-                clock.cpu_busy_ms += interpret_ms
-                if chunk == 0:
-                    if current is not None:
-                        yield current
-                    props, runs, expected_runs = decode_main_entry(
-                        name, version, value
+        for name, version, chunk, decoded in self._scan_entries(prefix):
+            if chunk == 0:
+                if current is not None:
+                    yield current
+                props, runs, _total = decoded
+                current = (props, RunTable(list(runs)))
+            else:
+                if current is None:
+                    raise CorruptMetadata(
+                        f"orphan continuation entry for {name}!{version}"
                     )
-                    current = (props, runs)
-                else:
-                    if current is None:
-                        raise CorruptMetadata(
-                            f"orphan continuation entry for {name}!{version}"
-                        )
-                    current[1].runs.extend(decode_continuation(value))
+                current[1].runs.extend(decode_continuation(decoded))
         if current is not None:
             yield current
 
@@ -480,34 +459,62 @@ class FsdNameTable:
 
         Same scan, same per-entry CPU charges as :meth:`enumerate`, but
         run tables are never materialised: continuation entries are
-        charged and skipped without parsing, and chunk-0 entries decode
-        through the properties memo.
+        charged and skipped without parsing.
         """
         have_main = False
+        for name, version, chunk, decoded in self._scan_entries(prefix):
+            if chunk == 0:
+                have_main = True
+                yield decoded[0]
+            elif not have_main:
+                raise CorruptMetadata(
+                    f"orphan continuation entry for {name}!{version}"
+                )
+
+    def _scan_entries(self, prefix: str) -> Iterator[tuple]:
+        """Decoded leaf entries from ``prefix`` on, in key order, each
+        charged the per-entry interpretation cost; stops at the first
+        name outside ``prefix``."""
         start = prefix.encode("utf-8") if prefix else None
         clock = self.clock
         interpret_ms = clock.cpu.entry_interpret_ms
-        key_memo = types._KEY_MEMO
-        decode_props = types.decode_main_props
-        for keys, values in self.tree.scan_leaves(start):
-            for key, value in zip(keys, values):
-                decoded = key_memo.get(key)
-                if decoded is None:
-                    decoded = decode_key(key)
-                name, version, chunk = decoded
-                if prefix and not name.startswith(prefix):
+        tree = self.tree
+        leaf_view = tree.pager.leaf_view
+        # Leaf-batched scan: one generator resume per leaf page, not
+        # per entry; each leaf's entries are decoded once per cached
+        # node (see NameTablePager.leaf_view).
+        for page_no, node, first in tree.scan_leaves(start):
+            view = leaf_view(page_no, node)
+            for index in range(first, len(view)):
+                entry = view[index]
+                if prefix and not entry[0].startswith(prefix):
                     return
+                # advance_cpu inlined: fixed positive cost, once per
+                # entry of every list operation.
                 clock.now_ms += interpret_ms
                 clock.cpu_busy_ms += interpret_ms
-                if chunk == 0:
-                    have_main = True
-                    yield decode_props(name, version, value)
-                elif not have_main:
-                    raise CorruptMetadata(
-                        f"orphan continuation entry for {name}!{version}"
-                    )
+                yield entry
 
     def __len__(self) -> int:
         """Number of chunk-0 entries is not tracked; len(tree) counts
         all entries including continuations."""
         return len(self.tree)
+
+
+def _decode_leaf(node: Node) -> tuple:
+    """Decoded view of a name-table leaf: one ``(name, version, chunk,
+    decoded)`` per entry, where ``decoded`` is the
+    :func:`~repro.core.types.decode_main_fields` triple for a chunk-0
+    entry and the raw continuation bytes otherwise."""
+    out = []
+    for key, value in zip(node.keys, node.values):
+        name, version, chunk = decode_key(key)
+        out.append(
+            (
+                name,
+                version,
+                chunk,
+                decode_main_fields(name, version, value) if chunk == 0 else value,
+            )
+        )
+    return tuple(out)

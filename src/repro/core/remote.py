@@ -98,10 +98,6 @@ class CachingFS:
         self.servers = dict(servers or {})
         self.stats = CacheStats()
 
-    def add_server(self, server: RemoteFileServer) -> None:
-        """Register a file server by its name."""
-        self.servers[server.name] = server
-
     # ------------------------------------------------------------------
     # links
     # ------------------------------------------------------------------

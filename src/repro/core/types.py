@@ -9,6 +9,12 @@ B-tree representation.
 Unique identifiers are ``(boot_count << 40) | sequence`` so that a
 freshly booted volume can hand out uids without logging a counter: no
 two boots share a boot count, so uniqueness survives any crash.
+
+The codecs are pure functions and this module holds no mutable state.
+Decoded values are immutable (:class:`FileProperties` and :class:`Run`
+are frozen), so a decode may be shared; the one place decodes are kept
+is the per-volume metadata cache (:mod:`repro.core.cache`), which
+holds each name-table leaf's decoded entries next to its page.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 from repro.errors import CorruptMetadata, FsError
-from repro.serial import Packer, Unpacker
+from repro.serial import Packer
 
 #: Longest permitted file name (bytes of UTF-8).
 MAX_NAME_BYTES = 64
@@ -136,7 +142,7 @@ class RunTable:
         return RunTable(list(self.runs))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FileProperties:
     """Everything FSD's name table records about one file version."""
 
@@ -156,18 +162,8 @@ class FileProperties:
         return replace(self, **kwargs)
 
 
-#: name -> validated encoding; every entry point validates its name
-#: argument, and workloads reuse a small set of names heavily.  Only
-#: names that pass validation are memoised, so error paths replay.
-_NAME_MEMO: dict[str, bytes] = {}
-_NAME_MEMO_LIMIT = 8192
-
-
 def validate_name(name: str) -> bytes:
     """Check and encode a file name for use as a B-tree key component."""
-    cached = _NAME_MEMO.get(name)
-    if cached is not None:
-        return cached
     encoded = name.encode("utf-8")
     if not encoded:
         raise FsError("empty file name")
@@ -175,9 +171,6 @@ def validate_name(name: str) -> bytes:
         raise FsError(f"file name longer than {MAX_NAME_BYTES} bytes: {name!r}")
     if b"\x00" in encoded:
         raise FsError("file names may not contain NUL")
-    if len(_NAME_MEMO) >= _NAME_MEMO_LIMIT:
-        _NAME_MEMO.clear()
-    _NAME_MEMO[name] = encoded
     return encoded
 
 
@@ -210,28 +203,15 @@ def name_prefix(name: str) -> bytes:
     return validate_name(name) + b"\x00"
 
 
-#: parse memo for name-table keys: every ``list`` re-decodes the same
-#: keys, and the decoded triple is an immutable tuple — safe to share.
-_KEY_MEMO: dict[bytes, tuple[str, int, int]] = {}
-_KEY_MEMO_LIMIT = 8192
-
-
 def decode_key(key: bytes) -> tuple[str, int, int]:
     """Parse a name-table key into (name, version, chunk)."""
-    decoded = _KEY_MEMO.get(key)
-    if decoded is not None:
-        return decoded
     nul = key.rfind(b"\x00", 0, len(key) - 4)
     if nul < 0 or len(key) < nul + 5:
         raise CorruptMetadata(f"malformed name-table key {key!r}")
     name = key[:nul].decode("utf-8")
     version = int.from_bytes(key[nul + 1 : nul + 3], "big")
     chunk = int.from_bytes(key[nul + 3 : nul + 5], "big")
-    if len(_KEY_MEMO) >= _KEY_MEMO_LIMIT:
-        _KEY_MEMO.clear()
-    decoded = (name, version, chunk)
-    _KEY_MEMO[key] = decoded
-    return decoded
+    return name, version, chunk
 
 
 # ----------------------------------------------------------------------
@@ -242,11 +222,6 @@ def _pack_runs(packer: Packer, runs: list[Run]) -> None:
     for run in runs:
         packer.u32(run.start)
         packer.u16(run.count)
-
-
-def _unpack_runs(reader: Unpacker) -> list[Run]:
-    count = reader.u8()
-    return [Run(reader.u32(), reader.u16()) for _ in range(count)]
 
 
 def encode_main_entry(props: FileProperties, runs: RunTable) -> bytes:
@@ -307,16 +282,6 @@ _MAIN_PREFIX = struct.Struct("<BQQddBIH")
 #: one (start u32, count u16) run record.
 _RUN_RECORD = struct.Struct("<IH")
 
-#: parse memo for chunk-0 entries, keyed by entry bytes: every ``list``
-#: re-decodes the same entries, so the decoded FileProperties is cached
-#: whole and only the RunTable wrapper (whose ``runs`` list callers
-#: extend and truncate) is rebuilt per call.  FileProperties is never
-#: mutated in place — updates go through ``with_updates`` — and Run
-#: objects are frozen, so both are safely shared across decodes.
-_MAIN_MEMO: dict[bytes, tuple] = {}
-_MAIN_MEMO_LIMIT = 4096
-
-
 def decode_main_entry(
     name: str, version: int, value: bytes
 ) -> tuple[FileProperties, RunTable, int]:
@@ -325,108 +290,66 @@ def decode_main_entry(
     Returns (properties, inline run table, total run count); when the
     total exceeds the inline count, the caller must read continuation
     chunks to complete the run table.
-
-    Parsed with precompiled structs rather than an :class:`Unpacker`
-    and memoised by entry bytes: this runs once per entry of every
-    ``enumerate``, making it one of the hottest metadata parses in the
-    system.
     """
-    fields = _MAIN_MEMO.get(value)
-    if fields is None:
-        try:
-            (
-                kind_byte,
-                uid,
-                byte_size,
-                create_time,
-                last_used,
-                keep,
-                leader_addr,
-                total_runs,
-            ) = _MAIN_PREFIX.unpack_from(value, 0)
-            offset = _MAIN_PREFIX.size
-            name_len = value[offset]
-            offset += 1
-            if offset + name_len > len(value):
-                raise struct.error
-            remote_target = value[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            run_count = value[offset]
-            offset += 1
-            unpack_run = _RUN_RECORD.unpack_from
-            if offset + 6 * run_count > len(value):
-                raise struct.error
-            run_tuple = tuple(
-                Run(*unpack_run(value, offset + 6 * index))
-                for index in range(run_count)
-            )
-        except (struct.error, IndexError):
-            raise CorruptMetadata(
-                f"truncated main entry of {len(value)} bytes"
-            ) from None
-        # Positional construction: this pairs with the field order of
-        # FileProperties and skips per-call keyword processing.
-        props = FileProperties(
-            name,
-            version,
+    props, runs, total_runs = decode_main_fields(name, version, value)
+    return props, RunTable(list(runs)), total_runs
+
+
+def decode_main_fields(
+    name: str, version: int, value: bytes
+) -> tuple[FileProperties, tuple[Run, ...], int]:
+    """:func:`decode_main_entry` with the inline runs as an immutable
+    tuple: the whole result may be shared between readers.
+
+    Parsed with precompiled structs rather than an :class:`Unpacker`:
+    this runs once per entry of every decoded name-table leaf.
+    """
+    try:
+        (
+            kind_byte,
             uid,
-            FileKind(kind_byte),
             byte_size,
             create_time,
             last_used,
             keep,
             leader_addr,
-            remote_target,
+            total_runs,
+        ) = _MAIN_PREFIX.unpack_from(value, 0)
+        offset = _MAIN_PREFIX.size
+        name_len = value[offset]
+        offset += 1
+        if offset + name_len > len(value):
+            raise struct.error
+        remote_target = value[offset:offset + name_len].decode("utf-8")
+        offset += name_len
+        run_count = value[offset]
+        offset += 1
+        unpack_run = _RUN_RECORD.unpack_from
+        if offset + 6 * run_count > len(value):
+            raise struct.error
+        runs = tuple(
+            Run(*unpack_run(value, offset + 6 * index))
+            for index in range(run_count)
         )
-        fields = (props, run_tuple, total_runs)
-        if len(_MAIN_MEMO) >= _MAIN_MEMO_LIMIT:
-            _MAIN_MEMO.clear()
-        _MAIN_MEMO[value] = fields
-    props, run_tuple, total_runs = fields
-    if props.name != name or props.version != version:
-        # Same entry bytes under a different key (the value encodes
-        # no name/version): rebuild the properties for this key.
-        props = FileProperties(
-            name,
-            version,
-            props.uid,
-            props.kind,
-            props.byte_size,
-            props.create_time_ms,
-            props.last_used_ms,
-            props.keep,
-            props.leader_addr,
-            props.remote_target,
-        )
-    return props, RunTable(list(run_tuple)), total_runs
-
-
-def decode_main_props(name: str, version: int, value: bytes) -> FileProperties:
-    """Properties-only decode of a chunk-0 entry.
-
-    ``list`` discards run tables, so this skips materialising a fresh
-    :class:`RunTable` per entry; a memo hit for the listing's own key
-    returns the shared (never mutated in place) properties object.
-    """
-    fields = _MAIN_MEMO.get(value)
-    if fields is None:
-        props, _runs, _total = decode_main_entry(name, version, value)
-        return props
-    props = fields[0]
-    if props.name != name or props.version != version:
-        props = FileProperties(
-            name,
-            version,
-            props.uid,
-            props.kind,
-            props.byte_size,
-            props.create_time_ms,
-            props.last_used_ms,
-            props.keep,
-            props.leader_addr,
-            props.remote_target,
-        )
-    return props
+    except (struct.error, IndexError):
+        raise CorruptMetadata(
+            f"truncated main entry of {len(value)} bytes"
+        ) from None
+    # Positional construction: this pairs with the field order of
+    # FileProperties and skips per-call keyword processing.
+    props = FileProperties(
+        name,
+        version,
+        uid,
+        FileKind(kind_byte),
+        byte_size,
+        create_time,
+        last_used,
+        keep,
+        leader_addr,
+        remote_target,
+    )
+    return props, runs, total_runs
 
 
 def encode_continuation(runs: list[Run]) -> bytes:

@@ -57,10 +57,6 @@ class VolumeAllocationMap:
         self._bits[sector >> 3] |= 1 << (sector & 7)
         self._dirty_pages.add((sector >> 3) // self.PAGE_BYTES)
 
-    def _clear(self, sector: int) -> None:
-        self._bits[sector >> 3] &= ~(1 << (sector & 7))
-        self._dirty_pages.add((sector >> 3) // self.PAGE_BYTES)
-
     def _is_set(self, sector: int) -> bool:
         return bool(self._bits[sector >> 3] & (1 << (sector & 7)))
 

@@ -71,7 +71,6 @@ def _check_nt_copies(fs: FSD, report: VerifyReport) -> None:
     Pages with a pending home write legitimately differ from disk, so
     only pages the cache does not hold dirty are compared.
     """
-    from repro.btree.node import Node
     from repro.core.wal import PAGE_NAME_TABLE
 
     pending = {
@@ -90,8 +89,7 @@ def _check_nt_copies(fs: FSD, report: VerifyReport) -> None:
         seen.add(page_no)
         report.nt_pages_checked += 1
         try:
-            data = fs.cache.read_nt(page_no)
-            node = Node.from_bytes(data)
+            node = fs.cache.read_node(page_no)
         except CorruptMetadata as error:
             report.add(f"name-table page {page_no}: {error}")
             continue

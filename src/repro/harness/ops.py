@@ -200,12 +200,6 @@ def measure_cfs_table2(
     return Table2Result(ms=ms, recovery_ms=recovery_ms, recovery_note=note)
 
 
-def measure_fsd_recovery(scale: Scale = SMALL) -> tuple[float, str]:
-    """Standalone FSD crash-recovery measurement."""
-    result = measure_fsd_table2(scale, include_recovery=True)
-    return result.recovery_ms, result.recovery_note
-
-
 def measure_cfs_recovery(scale: Scale = SMALL) -> tuple[float, str]:
     """Standalone CFS scavenge measurement."""
     result = measure_cfs_table2(scale, include_recovery=True)

@@ -374,10 +374,6 @@ class AttributionRecorder:
     # ------------------------------------------------------------------
     # layer notes (called by sched / data cache / group commit)
     # ------------------------------------------------------------------
-    @property
-    def current_trace_id(self) -> int | None:
-        return self.current.trace_id if self.current is not None else None
-
     def note_queue_wait(self, trace_id: int, wait_ms: float) -> None:
         """A write this trace submitted just dispatched after
         ``wait_ms`` in the scheduler queue (background debt — not part

@@ -17,13 +17,13 @@ class TestLeafSerialization:
     def test_empty_leaf_roundtrip(self):
         node = Node(kind=LEAF)
         back = Node.from_bytes(node.to_bytes(512))
-        assert back.is_leaf and back.keys == [] and back.values == []
+        assert back.is_leaf and back.keys == () and back.values == ()
 
     def test_roundtrip(self):
         node = Node(kind=LEAF, keys=[b"a", b"bb"], values=[b"1", b"22"])
         back = Node.from_bytes(node.to_bytes(512))
-        assert back.keys == [b"a", b"bb"]
-        assert back.values == [b"1", b"22"]
+        assert back.keys == (b"a", b"bb")
+        assert back.values == (b"1", b"22")
 
     def test_mismatched_lengths_rejected(self):
         node = Node(kind=LEAF, keys=[b"a"], values=[])
@@ -41,8 +41,8 @@ class TestInternalSerialization:
         node = Node(kind=INTERNAL, keys=[b"m"], children=[3, 9])
         back = Node.from_bytes(node.to_bytes(512))
         assert not back.is_leaf
-        assert back.keys == [b"m"]
-        assert back.children == [3, 9]
+        assert back.keys == (b"m",)
+        assert back.children == (3, 9)
 
     def test_children_count_invariant(self):
         node = Node(kind=INTERNAL, keys=[b"m"], children=[3])
@@ -85,8 +85,8 @@ def test_leaf_roundtrip_property(keys, data):
     ]
     node = Node(kind=LEAF, keys=list(keys), values=values)
     back = Node.from_bytes(node.to_bytes(4096))
-    assert back.keys == list(keys)
-    assert back.values == values
+    assert back.keys == tuple(keys)
+    assert back.values == tuple(values)
 
 
 @given(keys=keys_st, data=st.data())
@@ -97,5 +97,5 @@ def test_internal_roundtrip_property(keys, data):
     ]
     node = Node(kind=INTERNAL, keys=list(keys), children=children)
     back = Node.from_bytes(node.to_bytes(4096))
-    assert back.keys == list(keys)
-    assert back.children == children
+    assert back.keys == tuple(keys)
+    assert back.children == tuple(children)

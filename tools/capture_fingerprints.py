@@ -4,6 +4,15 @@ Usage: PYTHONPATH=src python tools/capture_fingerprints.py [out.json]
 
 Run before and after a speed refactor; the two JSON documents must be
 byte-identical (the contract harness/fingerprint.py encodes).
+
+The committed golden copy, which the tier-1 test
+``tests/harness/test_golden_fingerprints.py`` compares against, is
+regenerated only with
+
+    PYTHONPATH=src python tools/capture_fingerprints.py tests/golden/fingerprints.json
+
+and only for a change that is meant to move simulated behaviour; each
+regeneration is logged with its reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -44,16 +53,21 @@ def traffic_fingerprint(clients: int = 1000, ops_per_client: int = 2) -> dict:
     return doc
 
 
-def main() -> None:
-    out = sys.argv[1] if len(sys.argv) > 1 else "fingerprints.json"
+def render() -> str:
+    """The fingerprint document, exactly as written to disk."""
     doc = {
         "makedo": makedo_fingerprint().as_dict(),
         "traffic_1000": traffic_fingerprint(),
         "chaos_default": run_chaos().as_dict(),
     }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def main() -> None:
+    out = sys.argv[1] if len(sys.argv) > 1 else "fingerprints.json"
+    text = render()
     with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     print(f"wrote {out}")
 
 
