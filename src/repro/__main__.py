@@ -14,7 +14,7 @@
     python -m repro profile {makedo,traffic,scripted} [--out FILE]
     python -m repro bench diff BEFORE.json AFTER.json [--fail-over FRAC]
     python -m repro salvage vol.img rebuilt.img
-    python -m repro soak [--seed N] [--runs N] [--json FILE]
+    python -m repro soak [--seed N] [--runs N] [--json FILE] [--quiet]
     python -m repro chaos [--clients N] [--faults N] [--mirror] [--json FILE]
 
 Each command loads the image, mounts the volume (recovering it if the
@@ -249,32 +249,31 @@ def cmd_salvage(args) -> int:
 def cmd_soak(args) -> int:
     import json
 
-    from repro.crashcheck.soak import SoakConfig, run_campaign
+    from repro.crashcheck.soak import run_campaign
 
-    config = SoakConfig(
-        seed=args.seed,
-        runs=args.runs,
-        ops_per_run=args.ops,
-        faults_per_run=args.faults,
+    report = run_campaign(args.seed, args.runs)
+    if not args.quiet:
+        for index, run in enumerate(report["results"], 1):
+            print(
+                f"run {index:>3}/{args.runs}: {run['verdict']:<9} "
+                f"({run['ops_completed']} ops, {run['faults_injected']} "
+                f"faults, {run['crashes']} crashes, "
+                f"{run['files_verified']} files verified)"
+            )
+    verdicts = ", ".join(
+        f"{count} {verdict}" for verdict, count in report["verdicts"].items()
     )
-
-    def progress(done, total, result) -> None:
-        faults = sum(result.faults.values())
-        print(
-            f"run {done:>3}/{total}: {result.verdict:<9} "
-            f"({result.ops} ops, {faults} faults, "
-            f"{result.crashes} crashes, "
-            f"{result.files_verified} files verified)"
-        )
-
-    report = run_campaign(config, progress=progress if not args.quiet else None)
-    print(report.summary())
-    for finding in report.silent_corruptions:
+    print(
+        f"soak campaign seed={args.seed}: {args.runs} runs, "
+        f"{report['faults_injected']} faults injected ({verdicts}) — "
+        f"{'OK' if report['ok'] else 'FAILED'}"
+    )
+    for finding in report["silent_corruptions"]:
         print(f"SILENT CORRUPTION: {finding}")
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_json(), indent=2))
+        Path(args.json).write_text(json.dumps(report, indent=2))
         print(f"report written to {args.json}")
-    return 0 if report.ok else 1
+    return 0 if report["ok"] else 1
 
 
 def cmd_chaos(args) -> int:
@@ -452,14 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_traffic)
 
     p = sub.add_parser(
-        "soak", help="seeded multi-fault soak campaign with recovery oracle"
+        "soak", help="seeded multi-fault soak campaign: many one-client "
+                     "chaos runs on the crashcheck scale"
     )
     p.add_argument("--seed", type=int, default=1987)
     p.add_argument("--runs", type=int, default=12)
-    p.add_argument("--ops", type=int, default=30,
-                   help="operations per run (default: 30)")
-    p.add_argument("--faults", type=int, default=18,
-                   help="faults injected per run (default: 18)")
     p.add_argument("--json", metavar="PATH",
                    help="write the campaign report as JSON")
     p.add_argument("--quiet", action="store_true",

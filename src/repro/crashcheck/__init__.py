@@ -16,7 +16,9 @@ into a systematic crash-consistency checker:
   structural (offline verify in strict mode), cache-coherence (no
   post-crash read observes pre-crash cached data) and semantic
   (committed operations fully present; uncommitted ones
-  atomic-or-absent),
+  atomic-or-absent), plus the fault campaigns' ``CampaignOracle``,
+* :mod:`repro.crashcheck.soak` — ``repro soak``, seeded one-client
+  presets of the chaos engine (:mod:`repro.workloads.chaos`),
 * :mod:`repro.crashcheck.scenarios` — named workload scenarios built
   on the harness adapters so they run on any adapter-shaped volume,
 * :mod:`repro.crashcheck.cli` — the ``python -m repro crashcheck``

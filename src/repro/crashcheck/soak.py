@@ -1,530 +1,77 @@
-"""Seeded multi-fault soak campaigns.
+"""Seeded multi-fault soak campaigns: a one-client chaos preset.
 
 The crash-point explorer (:mod:`repro.crashcheck.engine`) is
-exhaustive over *where* a single crash lands.  The soak campaign is
-the complementary axis: many randomized runs, each mixing a live FSD
-workload with media faults **beyond the paper's single-fault model** —
-permanent 1–2-sector damage, transient read failures, latent faults
-that surface on the next read, wild writes into the name-table extents
-and leader sectors, and mid-run crash/remount cycles.
+exhaustive over *where* a single crash lands.  A soak campaign is the
+complementary axis: ``runs`` independent, seeded campaigns of the
+chaos engine (:mod:`repro.workloads.chaos`), each one client doing a
+serial create/delete/force mix on the crashcheck scale while media
+faults **beyond the paper's single-fault model** land between its
+ops — permanent 1–2-sector damage, transient and latent read
+failures, wild writes into the name table and leaders, both copies of
+a name-table page — and crashes fire mid-I/O.
 
-The oracle is the robustness claim itself: every run must end in
-exactly one of three honest states —
-
-* ``recovered``  — the final mount is clean and every committed file
-  reads back exactly (or fails with an *explicit* error where its data
-  sectors were destroyed),
-* ``degraded``   — the escalation ladder was exhausted or committed
-  log records were lost; the volume says so and refuses writes, and a
-  salvage pass must then succeed,
-* ``salvaged``   — the volume would not even mount; the salvager must
-  rebuild a volume whose surviving files are byte-faithful.
-
-What is *never* acceptable is **silent corruption**: a committed file
-absent or altered while the mount claims to be healthy, or any file
-whose content was never written to it.  Runs are seeded and fully
-deterministic, so a campaign is a reproducible regression artifact
-(``python -m repro soak --json``).
+Every run is judged by :class:`~repro.crashcheck.oracles.CampaignOracle`
+and must end ``recovered``, ``degraded`` or ``salvaged`` with no
+silent corruption.  Runs are deterministic, so a campaign is a
+reproducible regression artifact (``python -m repro soak --json``).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import replace
 
-from repro.core.fsd import FSD
-from repro.core.salvage import SalvageReport, salvage_volume
 from repro.crashcheck.scenarios import CRASH_SCALE
-from repro.disk.disk import SimDisk
-from repro.errors import (
-    CorruptMetadata,
-    DegradedVolumeError,
-    DiskError,
-    FileNotFound,
-    FsError,
+from repro.workloads.chaos import ChaosConfig, run_chaos
+from repro.workloads.traffic import TrafficConfig
+
+#: one run: 30 serial ops, 55% creates and 20% deletes; a quarter of
+#: the mutations wait for their group commit.
+TRAFFIC = TrafficConfig(
+    clients=1,
+    ops_per_client=30,
+    mean_think_ms=50.0,
+    population=0,
+    sync_fraction=0.25,
+    max_file_bytes=2_000,
+    settle=False,
+    weights={"create": 0.55, "delete": 0.20, "write": 0.0, "read": 0.0,
+             "list": 0.0},
+    max_retries=2,
+)
+#: 18 faults 80 simulated ms apart (spread over the whole run), with
+#: a crash armed 1–5 I/Os out after every second fault: ~216 faults and
+#: ~36 mid-I/O crash/remount cycles per 12-run campaign.
+CHAOS = ChaosConfig(
+    faults=18, fault_interval_ms=80.0, crash_cycles=8, crash_io_window=6
 )
 
-#: fault kinds and their selection weights.  ``nt_pair`` destroys both
-#: home copies of one name-table page — deliberately past the paper's
-#: single-fault model, so the escalation ladder's degraded rung and the
-#: salvager actually get exercised.  Shared with the chaos engine
-#: (:mod:`repro.workloads.chaos`), which fires the same mix *under*
-#: live multi-client traffic.
-FAULT_KINDS = (
-    ("permanent", 0.30),
-    ("transient", 0.20),
-    ("latent", 0.15),
-    ("wild_write", 0.20),
-    ("nt_pair", 0.15),
-)
 
-_FAULT_KINDS = FAULT_KINDS  # backwards-compatible alias
-
-
-@dataclass(frozen=True)
-class SoakConfig:
-    """One campaign's shape.  The defaults inject 12 × 18 = 216 faults
-    — comfortably past the single-fault model the rest of the test
-    suite explores."""
-
-    seed: int = 1987
-    runs: int = 12
-    ops_per_run: int = 30
-    faults_per_run: int = 18
-    #: per-op probability of a crash/remount cycle mid-run.
-    crash_probability: float = 0.12
-
-    @property
-    def total_faults(self) -> int:
-        return self.runs * self.faults_per_run
-
-
-@dataclass
-class RunResult:
-    """Outcome of one seeded run."""
-
-    index: int
-    seed: int
-    verdict: str = ""  # "recovered" | "degraded" | "salvaged"
-    ops: int = 0
-    crashes: int = 0
-    faults: dict[str, int] = field(default_factory=dict)
-    op_errors: int = 0
-    files_expected: int = 0
-    files_verified: int = 0
-    files_honestly_lost: int = 0
-    #: descriptions of silent-corruption findings; MUST stay empty.
-    silent_corruptions: list[str] = field(default_factory=list)
-    salvage_summary: str | None = None
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(self.faults.values())
-
-
-@dataclass
-class CampaignReport:
-    """A whole campaign: per-run results plus the aggregate oracle."""
-
-    config: SoakConfig
-    results: list[RunResult] = field(default_factory=list)
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(result.faults_injected for result in self.results)
-
-    @property
-    def verdict_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for result in self.results:
-            counts[result.verdict] = counts.get(result.verdict, 0) + 1
-        return counts
-
-    @property
-    def silent_corruptions(self) -> list[str]:
-        out = []
-        for result in self.results:
-            out.extend(
-                f"run {result.index}: {finding}"
-                for finding in result.silent_corruptions
-            )
-        return out
-
-    @property
-    def ok(self) -> bool:
-        return not self.silent_corruptions and all(
-            result.verdict in ("recovered", "degraded", "salvaged")
-            for result in self.results
-        )
-
-    def to_json(self) -> dict:
-        """JSON-serializable campaign report (the CI artifact)."""
-        return {
-            "seed": self.config.seed,
-            "runs": self.config.runs,
-            "ops_per_run": self.config.ops_per_run,
-            "faults_per_run": self.config.faults_per_run,
-            "faults_injected": self.faults_injected,
-            "verdicts": self.verdict_counts,
-            "silent_corruptions": self.silent_corruptions,
-            "ok": self.ok,
-            "results": [
-                {
-                    "index": result.index,
-                    "verdict": result.verdict,
-                    "ops": result.ops,
-                    "crashes": result.crashes,
-                    "faults": result.faults,
-                    "op_errors": result.op_errors,
-                    "files_expected": result.files_expected,
-                    "files_verified": result.files_verified,
-                    "files_honestly_lost": result.files_honestly_lost,
-                    "salvage": result.salvage_summary,
-                }
-                for result in self.results
-            ],
-        }
-
-    def summary(self) -> str:
-        """One-line human-readable digest of the whole campaign."""
-        verdicts = ", ".join(
-            f"{count} {verdict}"
-            for verdict, count in sorted(self.verdict_counts.items())
-        )
-        status = "OK" if self.ok else "SILENT CORRUPTION"
-        return (
-            f"soak campaign seed={self.config.seed}: "
-            f"{len(self.results)} runs, {self.faults_injected} faults "
-            f"injected ({verdicts}) — {status}"
-        )
-
-
-# ----------------------------------------------------------------------
-# one run
-# ----------------------------------------------------------------------
-class _RunState:
-    """Everything a run tracks to judge its own outcome honestly."""
-
-    def __init__(self) -> None:
-        #: op log: ("create", name, data) / ("delete", name, b"").
-        self.oplog: list[tuple[str, str, bytes]] = []
-        #: every payload ever written per name — the only contents a
-        #: read may ever return for it.
-        self.history: dict[str, set[bytes]] = {}
-        #: ops covered by a returned group commit.
-        self.committed_ops = 0
-        #: leader sectors of live files (wild-write targets).
-        self.leader_addrs: dict[tuple[str, int], int] = {}
-        #: any mount reported log damage / lost records, or the volume
-        #: marked itself degraded: absence of a committed file is then
-        #: an honest loss, not a silent one.
-        self.honesty_flag = False
-
-    def expected_visible(self, keep: int = 2) -> dict[str, bytes]:
-        """Replay the committed op prefix: name -> newest content."""
-        stacks: dict[str, list[bytes]] = {}
-        for kind, name, data in self.oplog[: self.committed_ops]:
-            if kind == "create":
-                stack = stacks.setdefault(name, [])
-                stack.append(data)
-                del stack[:-keep]
-            elif kind == "delete" and stacks.get(name):
-                stacks[name].pop()
-        return {
-            name: stack[-1] for name, stack in stacks.items() if stack
-        }
-
-    def uncommitted_touches(self, name: str) -> bool:
-        return any(
-            op_name == name for _, op_name, _ in self.oplog[self.committed_ops :]
-        )
-
-
-def _install_watermark(fs: FSD, state: _RunState) -> list[int]:
-    """Commit hook: ops finished before a commit returned are durable."""
-    ops_done = [len(state.oplog)]
-
-    def hook() -> None:
-        state.committed_ops = max(state.committed_ops, ops_done[0])
-
-    fs.coordinator.add_commit_hook(hook)
-    return ops_done
-
-
-def nt_page(layout, rng: random.Random) -> int:
-    """A name-table page number, biased toward the low pages a small
-    volume actually uses (uniform hits over thousands of blank pages
-    would never stress anything)."""
-    nt_pages = layout.params.nt_pages
-    if rng.random() < 0.6:
-        return rng.randrange(min(32, nt_pages))
-    return rng.randrange(nt_pages)
-
-
-def pick_fault_kind(rng: random.Random) -> str:
-    """One kind from :data:`FAULT_KINDS` by weight."""
-    roll = rng.random()
-    cumulative = 0.0
-    kind = FAULT_KINDS[-1][0]
-    for name, weight in FAULT_KINDS:
-        cumulative += weight
-        if roll < cumulative:
-            kind = name
-            break
-    return kind
-
-
-def fault_target(
-    layout, leader_addrs: dict, rng: random.Random
-) -> int:
-    """Pick a sector for a damage fault: name-table copies, the log,
-    or a live file's sectors — the places recovery has to care about.
-    ``leader_addrs`` maps live (name, version) pairs to their leader
-    sectors."""
-    choice = rng.random()
-    if choice < 0.3:
-        return layout.nt_a_start + nt_page(layout, rng)
-    if choice < 0.5 and not layout.params.single_nt_copy:
-        return layout.nt_b_start + nt_page(layout, rng)
-    if choice < 0.75:
-        return layout.log_start + rng.randrange(
-            3 + layout.params.log_record_sectors
-        )
-    if leader_addrs and choice < 0.9:
-        return rng.choice(sorted(leader_addrs.values()))
-    area = layout.big_area if rng.random() < 0.5 else layout.small_area
-    return area.start + rng.randrange(area.count)
-
-
-def wild_write_target(
-    layout, leader_addrs: dict, rng: random.Random
-) -> int:
-    """Wild writes model software scribbling over mapped metadata: they
-    land only on name-table extents or leader sectors (paper §5.3's
-    read-protection motivation)."""
-    if leader_addrs and rng.random() < 0.4:
-        return rng.choice(sorted(leader_addrs.values()))
-    base = (
-        layout.nt_a_start
-        if layout.params.single_nt_copy or rng.random() < 0.5
-        else layout.nt_b_start
-    )
-    return base + nt_page(layout, rng)
-
-
-def inject_fault(
-    disk: SimDisk, layout, leader_addrs: dict, rng: random.Random
-) -> str:
-    """Inject one weighted fault against ``disk``; returns its kind."""
-    kind = pick_fault_kind(rng)
-    if kind == "permanent":
-        disk.faults.damage(
-            fault_target(layout, leader_addrs, rng),
-            count=rng.choice((1, 2)),
-        )
-    elif kind == "transient":
-        disk.faults.damage_transient(
-            fault_target(layout, leader_addrs, rng),
-            failures=rng.choice((1, 2)),
-        )
-    elif kind == "latent":
-        disk.faults.damage_latent(fault_target(layout, leader_addrs, rng))
-    elif kind == "nt_pair":
-        page_no = nt_page(layout, rng)
-        address_a, address_b = layout.nt_page_addresses(page_no)
-        disk.faults.damage(address_a)
-        if not layout.params.single_nt_copy:
-            disk.faults.damage(address_b)
-    else:  # wild_write
-        junk = bytes(rng.getrandbits(8) for _ in range(48))
-        disk.write(wild_write_target(layout, leader_addrs, rng), [junk])
-    return kind
-
-
-def _inject_fault(
-    disk: SimDisk, fs: FSD, state: _RunState, rng: random.Random
-) -> str:
-    return inject_fault(disk, fs.layout, state.leader_addrs, rng)
-
-
-def _note_mount_honesty(fs: FSD, state: _RunState) -> None:
-    report = fs.mount_report
-    if report.log_damage or report.log_records_lost or fs.degraded:
-        state.honesty_flag = True
-
-
-def run_soak(index: int, config: SoakConfig) -> RunResult:
-    """One seeded workload-plus-faults run, judged honestly."""
-    seed = config.seed * 100_003 + index
-    rng = random.Random(seed)
-    result = RunResult(index=index, seed=seed)
-    state = _RunState()
-
-    disk = SimDisk(geometry=CRASH_SCALE.geometry)
-    FSD.format(disk, CRASH_SCALE.fsd_params)
-    fs = FSD.mount(disk)
-    ops_done = _install_watermark(fs, state)
-
-    names = [f"soak/file-{n:02d}" for n in range(10)]
-    faults_left = config.faults_per_run
-    payload_counter = 0
-
-    for op_index in range(config.ops_per_run):
-        remaining_ops = config.ops_per_run - op_index
-        while faults_left > 0 and rng.random() < faults_left / remaining_ops:
-            kind = _inject_fault(disk, fs, state, rng)
-            result.faults[kind] = result.faults.get(kind, 0) + 1
-            faults_left -= 1
-
-        roll = rng.random()
-        try:
-            if roll < 0.55:
-                name = rng.choice(names)
-                payload_counter += 1
-                stamp = f"{name}#{seed}#{payload_counter}|".encode()
-                data = stamp * (1 + rng.randrange(40))
-                handle = fs.create(name, data)
-                state.history.setdefault(name, set()).add(data)
-                state.oplog.append(("create", name, data))
-                version = handle.props.version
-                state.leader_addrs[(name, version)] = (
-                    handle.props.leader_addr
-                )
-                # Versions beyond the keep limit were trimmed by the
-                # create: their leader sectors are free again and must
-                # never be wild-write targets (they may be reallocated
-                # as plain data, where a scribble would be silent).
-                for key in [
-                    k
-                    for k in state.leader_addrs
-                    if k[0] == name and k[1] <= version - FSD.DEFAULT_KEEP
-                ]:
-                    del state.leader_addrs[key]
-            elif roll < 0.75:
-                name = rng.choice(names)
-                props = fs.delete(name)
-                state.oplog.append(("delete", name, b""))
-                state.leader_addrs.pop((name, props.version), None)
-            else:
-                fs.force()
-            result.ops += 1
-            ops_done[0] = len(state.oplog)
-        except DegradedVolumeError:
-            state.honesty_flag = True
-            break
-        except (FsError, DiskError):
-            result.op_errors += 1
-        if fs.degraded:
-            state.honesty_flag = True
-            break
-
-        if rng.random() < config.crash_probability:
-            fs.crash()
-            result.crashes += 1
-            # Ops not covered by a returned commit died with the crash;
-            # they must never be counted committed by a *later* commit.
-            # (If an in-flight force secretly made one durable, the
-            # content-history check still accepts what it reads back.)
-            del state.oplog[state.committed_ops :]
-            try:
-                fs = FSD.mount(disk)
-            except (DegradedVolumeError, CorruptMetadata):
-                state.honesty_flag = True
-                fs = None
-                break
-            ops_done = _install_watermark(fs, state)
-            ops_done[0] = len(state.oplog)
-            _note_mount_honesty(fs, state)
-            # Creates lost in the crash leave stale leader addresses
-            # whose sectors are free for data reallocation; re-derive
-            # the wild-write targets from what actually survived.
-            try:
-                state.leader_addrs = {
-                    (props.name, props.version): props.leader_addr
-                    for props in fs.list()
-                }
-            except (FsError, DiskError):
-                state.leader_addrs.clear()
-
-    if fs is not None:
-        fs.crash()
-
-    _classify(disk, state, result)
-    return result
-
-
-# ----------------------------------------------------------------------
-# classification + verification
-# ----------------------------------------------------------------------
-def _classify(disk: SimDisk, state: _RunState, result: RunResult) -> None:
-    try:
-        fs = FSD.mount(disk)
-    except (DegradedVolumeError, CorruptMetadata):
-        result.verdict = "salvaged"
-        _verify_salvage(disk, state, result)
-        return
-    _note_mount_honesty(fs, state)
-    result.verdict = "degraded" if fs.degraded else "recovered"
-    _verify_mounted(fs, state, result)
-    fs.crash()
-    if result.verdict == "degraded":
-        # A degraded volume must still be salvageable.
-        _verify_salvage(disk, state, result)
-
-
-def _verify_mounted(fs: FSD, state: _RunState, result: RunResult) -> None:
-    expected = state.expected_visible()
-    result.files_expected = len(expected)
-    for name, want in sorted(expected.items()):
-        try:
-            handle = fs.open(name)
-            got = fs.read(handle)
-        except FileNotFound:
-            if (
-                state.honesty_flag
-                or state.uncommitted_touches(name)
-            ):
-                result.files_honestly_lost += 1
-            else:
-                result.silent_corruptions.append(
-                    f"committed file {name} vanished from a mount that "
-                    "claims to be healthy"
-                )
-            continue
-        except (DiskError, CorruptMetadata):
-            # Explicit failure: destroyed data sectors / wild-written
-            # leaders are reported, never papered over.
-            result.files_honestly_lost += 1
-            continue
-        if got == want or got in state.history.get(name, ()):
-            result.files_verified += 1
-        else:
-            result.silent_corruptions.append(
-                f"file {name} returned {len(got)} bytes that were "
-                "never written to it"
-            )
-
-
-def _verify_salvage(
-    disk: SimDisk, state: _RunState, result: RunResult
-) -> None:
-    try:
-        destination, report = salvage_volume(disk)
-    except (DegradedVolumeError, CorruptMetadata) as error:
-        result.silent_corruptions.append(f"salvage failed: {error}")
-        return
-    result.salvage_summary = report.summary()
-    fs = FSD.mount(destination)
-    expected = state.expected_visible()
-    if not result.files_expected:
-        result.files_expected = len(expected)
-    for name, want in sorted(expected.items()):
-        try:
-            handle = fs.open(name)
-            got = fs.read(handle)
-        except (FileNotFound, DiskError, CorruptMetadata):
-            # Salvage is best-effort: a file whose every trace was
-            # destroyed is honestly absent (and the lost list says so
-            # when any trace survived).
-            result.files_honestly_lost += 1
-            continue
-        if got == want or got in state.history.get(name, ()):
-            result.files_verified += 1
-        else:
-            result.silent_corruptions.append(
-                f"salvaged file {name} returned {len(got)} bytes that "
-                "were never written to it"
-            )
-    fs.crash()
-
-
-def run_campaign(config: SoakConfig | None = None, progress=None) -> CampaignReport:
-    """Run a whole soak campaign; deterministic for a given config."""
-    config = config or SoakConfig()
-    report = CampaignReport(config=config)
-    for index in range(config.runs):
-        result = run_soak(index, config)
-        report.results.append(result)
-        if progress is not None:
-            progress(index + 1, config.runs, result)
-    return report
+def run_campaign(seed: int = 1987, runs: int = 12) -> dict:
+    """A whole campaign as a JSON-ready document; deterministic for a
+    given ``(seed, runs)``.  Run *i* is a chaos campaign seeded
+    ``seed * 100_003 + i`` on the crashcheck scale."""
+    results = [
+        run_chaos(
+            replace(TRAFFIC, seed=seed * 100_003 + index),
+            CHAOS,
+            geometry=CRASH_SCALE.geometry,
+            params=CRASH_SCALE.fsd_params,
+        ).as_dict()
+        for index in range(runs)
+    ]
+    verdicts = Counter(result["verdict"] for result in results)
+    silent = [
+        f"run {index}: {finding}"
+        for index, result in enumerate(results)
+        for finding in result["silent_corruptions"]
+    ]
+    return {
+        "seed": seed,
+        "runs": runs,
+        "faults_injected": sum(r["faults_injected"] for r in results),
+        "verdicts": dict(sorted(verdicts.items())),
+        "silent_corruptions": silent,
+        "ok": all(result["ok"] for result in results),
+        "results": results,
+    }

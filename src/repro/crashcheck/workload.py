@@ -44,7 +44,9 @@ class Op:
     (an explicit group commit; the script's durability points) or
     ``"checkpoint"`` (one background checkpointer tick: write-home of
     every logged image plus the anchor advance — only legal in
-    scenarios mounted with a checkpoint interval).
+    scenarios mounted with a checkpoint interval).  ``"write"`` (the
+    newest version's whole content after an in-place write) appears
+    only in fault-campaign op logs: it is not crash-atomic.
     """
 
     kind: str
@@ -53,7 +55,7 @@ class Op:
     keep: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("create", "delete", "force", "checkpoint"):
+        if self.kind not in ("create", "write", "delete", "force", "checkpoint"):
             raise ValueError(f"unknown op kind {self.kind!r}")
 
 
@@ -262,8 +264,10 @@ def apply_op(adapter, op: Op) -> None:
         adapter.delete(op.name)
     elif op.kind == "checkpoint":
         adapter.fs.checkpointer.tick()
-    else:  # force
+    elif op.kind == "force":
         adapter.settle()
+    else:
+        raise ValueError(f"{op.kind!r} is not a crashcheck script step")
 
 
 def record_scenario(

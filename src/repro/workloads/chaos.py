@@ -1,17 +1,17 @@
 """Chaos under load: fault injection inside the live traffic engine.
 
-The soak campaign (:mod:`repro.crashcheck.soak`) mixes faults into a
-*serial* workload; the crash-point explorer is exhaustive over single
-crashes.  What neither answers is the paper's operational claim — that
-a Cedar file server keeps *serving* through media decay and machine
-crashes, clients see typed errors rather than hangs, and recovery is
-"a minute or so" (§1) rather than a multi-hour scavenge.  The chaos
-engine closes that gap: it drives the multi-client traffic engine
-while a weighted fault mix (the soak campaign's own
-:data:`~repro.crashcheck.soak.FAULT_KINDS`) lands on the platter
-between operations, machine crashes fire *mid-I/O* via the armed
-crash plan, and — on a mirrored volume — an entire shadow unit dies
-and is later resilvered.
+The crash-point explorer is exhaustive over single crashes.  What it
+does not answer is the paper's operational claim — that a Cedar file
+server keeps *serving* through media decay and machine crashes,
+clients see typed errors rather than hangs, and recovery is "a minute
+or so" (§1) rather than a multi-hour scavenge.  The chaos engine is
+the repo's one fault-campaign engine: it drives the multi-client
+traffic engine while a weighted fault mix (:data:`FAULT_KINDS`, past
+the paper's single-fault model) lands on the platter between
+operations, machine crashes fire *mid-I/O* via the armed crash plan,
+and — on a mirrored volume — an entire shadow unit dies and is later
+resilvered.  ``repro soak`` (:mod:`repro.crashcheck.soak`) is a preset
+of it: many one-client campaigns on the crashcheck scale.
 
 On top of the traffic engine's client error contract (typed error
 classes, capped-backoff retries, deadlines, degraded fast-fail) the
@@ -30,16 +30,15 @@ chaos engine adds what only a crash needs:
   resolves immediately with a ``degraded`` error — clients never hang
   — and the campaign ends in the salvage oracle.
 
-The oracle is the soak campaign's, extended for in-place writes: FSD
-logs *metadata* only, so a file's data sectors are not crash-atomic.
-Any name touched by an operation that failed with an explicit error,
-was interrupted by a crash, or sat in the uncommitted oplog suffix
-when a crash hit is marked **torn**: its content may honestly be a
-blend, because the client was *told* the op did not cleanly succeed.
-Everything else must read back exactly (or a historical value, or
-fail with an explicit error).  Silent corruption — junk content or a
-vanished file on a mount that claims health, with no explicit error
-anywhere in its story — is the one verdict that fails a campaign.
+The oracle is :class:`~repro.crashcheck.oracles.CampaignOracle`: it
+logs every completed mutation on the crash explorer's version-stack
+model, marks names **torn** when their in-place data writes may be
+half-applied (an op failed partway, was interrupted by a crash, or sat
+past the commit watermark when one hit), and ends the run with a
+verdict — recovered, degraded or salvaged.  Silent corruption — junk
+content or a vanished file on a mount that claims health, with no
+explicit error anywhere in its story — is the one verdict that fails
+a campaign.
 
 Everything is deterministic: faults come from one seeded RNG, crashes
 from deterministic I/O countdowns, backoff jitter from per-(client,
@@ -55,16 +54,13 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
-from repro.core.salvage import salvage_volume
-from repro.crashcheck.soak import inject_fault
+from repro.crashcheck.oracles import CampaignOracle
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mirror import MirroredDisk
 from repro.errors import (
     CorruptMetadata,
     DegradedVolumeError,
-    DiskError,
-    FileNotFound,
     FsError,
     NotMounted,
     SimulatedCrash,
@@ -100,6 +96,106 @@ CHAOS_PARAMS = VolumeParams(
 
 #: report schema version for ``BENCH_chaos.json`` / ``--json`` output.
 CHAOS_SCHEMA_VERSION = 1
+
+#: fault kinds and their selection weights.  ``nt_pair`` destroys both
+#: home copies of one name-table page — deliberately past the paper's
+#: single-fault model, so the escalation ladder's degraded rung and the
+#: salvager actually get exercised.
+FAULT_KINDS = (
+    ("permanent", 0.30),
+    ("transient", 0.20),
+    ("latent", 0.15),
+    ("wild_write", 0.20),
+    ("nt_pair", 0.15),
+)
+
+
+def nt_page(layout, rng: random.Random) -> int:
+    """A name-table page number, biased toward the low pages a small
+    volume actually uses (uniform hits over thousands of blank pages
+    would never stress anything)."""
+    nt_pages = layout.params.nt_pages
+    if rng.random() < 0.6:
+        return rng.randrange(min(32, nt_pages))
+    return rng.randrange(nt_pages)
+
+
+def pick_fault_kind(rng: random.Random) -> str:
+    """One kind from :data:`FAULT_KINDS` by weight."""
+    roll = rng.random()
+    cumulative = 0.0
+    for name, weight in FAULT_KINDS:
+        cumulative += weight
+        if roll < cumulative:
+            return name
+    return FAULT_KINDS[-1][0]
+
+
+def fault_target(
+    layout, leader_addrs: dict, rng: random.Random
+) -> int:
+    """Pick a sector for a damage fault: name-table copies, the log,
+    or a live file's sectors — the places recovery has to care about.
+    ``leader_addrs`` maps live (name, version) pairs to their leader
+    sectors."""
+    choice = rng.random()
+    if choice < 0.3:
+        return layout.nt_a_start + nt_page(layout, rng)
+    if choice < 0.5 and not layout.params.single_nt_copy:
+        return layout.nt_b_start + nt_page(layout, rng)
+    if choice < 0.75:
+        return layout.log_start + rng.randrange(
+            3 + layout.params.log_record_sectors
+        )
+    if leader_addrs and choice < 0.9:
+        return rng.choice(sorted(leader_addrs.values()))
+    area = layout.big_area if rng.random() < 0.5 else layout.small_area
+    return area.start + rng.randrange(area.count)
+
+
+def wild_write_target(
+    layout, leader_addrs: dict, rng: random.Random
+) -> int:
+    """Wild writes model software scribbling over mapped metadata: they
+    land only on name-table extents or leader sectors (paper §5.3's
+    read-protection motivation)."""
+    if leader_addrs and rng.random() < 0.4:
+        return rng.choice(sorted(leader_addrs.values()))
+    base = (
+        layout.nt_a_start
+        if layout.params.single_nt_copy or rng.random() < 0.5
+        else layout.nt_b_start
+    )
+    return base + nt_page(layout, rng)
+
+
+def inject_fault(
+    disk: SimDisk, layout, leader_addrs: dict, rng: random.Random
+) -> str:
+    """Inject one weighted fault against ``disk``; returns its kind."""
+    kind = pick_fault_kind(rng)
+    if kind == "permanent":
+        disk.faults.damage(
+            fault_target(layout, leader_addrs, rng),
+            count=rng.choice((1, 2)),
+        )
+    elif kind == "transient":
+        disk.faults.damage_transient(
+            fault_target(layout, leader_addrs, rng),
+            failures=rng.choice((1, 2)),
+        )
+    elif kind == "latent":
+        disk.faults.damage_latent(fault_target(layout, leader_addrs, rng))
+    elif kind == "nt_pair":
+        page_no = nt_page(layout, rng)
+        address_a, address_b = layout.nt_page_addresses(page_no)
+        disk.faults.damage(address_a)
+        if not layout.params.single_nt_copy:
+            disk.faults.damage(address_b)
+    else:  # wild_write
+        junk = bytes(rng.getrandbits(8) for _ in range(48))
+        disk.write(wild_write_target(layout, leader_addrs, rng), [junk])
+    return kind
 
 
 @dataclass(frozen=True)
@@ -177,89 +273,8 @@ class ChaosEngine(TrafficEngine):
         self._volume_lost = False
         self._lost_reason: str | None = None
         self._run_start_ms = 0.0
-        # the soak oracle, grown a torn-name set for in-place writes
-        self.oplog: list[tuple[str, str, bytes]] = []
-        self.history: dict[str, set[bytes]] = {}
-        self.committed = 0
-        self.honesty_flag = False
-        self._torn: set[str] = set()
-        self._content: dict[str, list[bytes]] = {}
-        self._leader_addrs: dict[tuple[str, int], int] = {}
-        fs.coordinator.add_commit_hook(self._commit_hook)
-
-    # ------------------------------------------------------------------
-    # oracle bookkeeping
-    # ------------------------------------------------------------------
-    def _commit_hook(self) -> None:
-        # Operation bodies are atomic and a force runs between them, so
-        # every oplog entry present when a commit returns is durable.
-        self.committed = max(self.committed, len(self.oplog))
-
-    def _replay_content(self) -> None:
-        """Rebuild the live content model from the (truncated) oplog."""
-        stacks: dict[str, list[bytes]] = {}
-        for kind, name, data in self.oplog:
-            if kind == "create":
-                stack = stacks.setdefault(name, [])
-                stack.append(data)
-                del stack[: -FSD.DEFAULT_KEEP]
-            elif kind == "write":
-                if stacks.get(name):
-                    stacks[name][-1] = data
-            elif kind == "delete" and stacks.get(name):
-                stacks[name].pop()
-        self._content = stacks
-
-    def expected_visible(self) -> dict[str, bytes]:
-        """Replay the committed oplog prefix: name -> newest content."""
-        saved = self.oplog
-        try:
-            self.oplog = saved[: self.committed]
-            self._replay_content()
-            return {
-                name: stack[-1]
-                for name, stack in self._content.items()
-                if stack
-            }
-        finally:
-            self.oplog = saved
-            self._replay_content()
-
-    def uncommitted_touches(self, name: str) -> bool:
-        """True when ``name`` appears in the oplog's uncommitted
-        suffix — its on-disk content was never acknowledged durable."""
-        return any(
-            entry[1] == name for entry in self.oplog[self.committed:]
-        )
-
-    def _oracle_create(self, name: str, data: bytes, handle) -> None:
-        self.oplog.append(("create", name, data))
-        stack = self._content.setdefault(name, [])
-        stack.append(data)
-        del stack[: -FSD.DEFAULT_KEEP]
-        props = handle.props
-        self._leader_addrs[(name, props.version)] = props.leader_addr
-        # Versions past the keep limit were trimmed: their leaders are
-        # free and must never be wild-write targets again.
-        for key in [
-            k
-            for k in self._leader_addrs
-            if k[0] == name and k[1] <= props.version - FSD.DEFAULT_KEEP
-        ]:
-            del self._leader_addrs[key]
-
-    def _oracle_write(self, name: str, result: bytes) -> None:
-        self.oplog.append(("write", name, result))
-        if self._content.get(name):
-            self._content[name][-1] = result
-
-    def _oracle_delete(self, name: str) -> None:
-        self.oplog.append(("delete", name, b""))
-        if self._content.get(name):
-            self._content[name].pop()
-        live = [k for k in self._leader_addrs if k[0] == name]
-        if live:
-            del self._leader_addrs[max(live, key=lambda k: k[1])]
+        self.oracle = CampaignOracle()
+        self.oracle.watch(fs)
 
     # ------------------------------------------------------------------
     # population + bodies (oracle-recording variants)
@@ -270,36 +285,36 @@ class ChaosEngine(TrafficEngine):
         if self._prepared or self.config.population == 0:
             self._prepared = True
             return
+        oracle = self.oracle
         rng = random.Random(f"{self.config.seed}:population")
         for rank in range(self.config.population):
             name = self._pop_name(rank)
             data = payload(self._sample_size(rng), seed=rank)
-            self.history.setdefault(name, set()).add(data)
-            handle = self.adapter.create(name, data)
-            self._oracle_create(name, data, handle)
+            oracle.may_hold(name, data)
+            oracle.created(name, data, self.adapter.create(name, data).props)
         self.adapter.settle()
-        self.committed = len(self.oplog)
+        oracle.committed = len(oracle.ops)
         self._prepared = True
 
     def _body(self, op) -> None:
+        oracle = self.oracle
         if op.kind == "create":
             data = payload(op.size, op.seed)
             # Record the payload *before* the call: a create that fails
             # after materializing is then still a known content.
-            self.history.setdefault(op.name, set()).add(data)
+            oracle.may_hold(op.name, data)
             handle = self.adapter.create(op.name, data)
-            self._oracle_create(op.name, data, handle)
+            oracle.created(op.name, data, handle.props)
         elif op.kind == "write":
             handle = self.adapter.open(op.name)
             data = payload(op.size, op.seed)
-            old = (self._content.get(op.name) or [b""])[-1]
-            result = data + old[len(data):]
-            self.history.setdefault(op.name, set()).add(result)
+            result = data + oracle.content(op.name)[len(data):]
+            oracle.may_hold(op.name, result)
             self.adapter.write(handle, 0, data)
-            self._oracle_write(op.name, result)
+            oracle.wrote(op.name, result)
         elif op.kind == "delete":
             self.adapter.delete(op.name)
-            self._oracle_delete(op.name)
+            oracle.deleted(op.name)
         else:
             super()._body(op)
 
@@ -332,18 +347,20 @@ class ChaosEngine(TrafficEngine):
         if in_bracket and op.kind in MUTATING:
             # The body raised partway: FSD logs metadata, not data, so
             # this name's content is no longer pinned by the oracle.
-            self._torn.add(op.name)
+            self.oracle.torn.add(op.name)
         return super()._op_failed(client, op, error, in_bracket=in_bracket)
 
     def _resolve_lost(self, client) -> None:
-        op = client.ops[client.index]
-        error = DegradedVolumeError(
-            self._lost_reason or "volume lost under chaos"
+        self._fail_inflight(
+            client,
+            DegradedVolumeError(self._lost_reason or "volume lost under chaos"),
         )
+
+    def _fail_inflight(self, client, error: Exception) -> None:
+        """Resolve the client's current op through the retry contract."""
+        op = client.ops[client.index]
         if not self._op_failed(client, op, error):
-            self._finish(
-                client, op, self.fs.clock.now_ms - client.issue_ms
-            )
+            self._finish(client, op, self.fs.clock.now_ms - client.issue_ms)
 
     # ------------------------------------------------------------------
     # the fault campaign tick
@@ -370,7 +387,7 @@ class ChaosEngine(TrafficEngine):
             )
         clock.tick()
         kind = inject_fault(
-            self.disk, self.fs.layout, self._leader_addrs,
+            self.disk, self.fs.layout, self.oracle.leader_addrs,
             self._chaos_rng,
         )
         self._faults_injected += 1
@@ -430,53 +447,40 @@ class ChaosEngine(TrafficEngine):
         # The armed plan *was* this crash; it dies with the machine.
         self.disk.faults.disarm_crash()
         self._parked = 0
-        # Ops past the committed watermark died with the crash — and
-        # because data sectors are written in place outside the log,
-        # their names' contents are torn, not merely rolled back.
-        for _, name, _ in self.oplog[self.committed:]:
-            self._torn.add(name)
-        del self.oplog[self.committed:]
-        self._replay_content()
+        self.oracle.crashed()
         interrupted = [c for c in self.clients if c.inflight]
         for client in interrupted:
             client.token += 1
             op = client.ops[client.index]
             if op.kind in MUTATING:
-                self._torn.add(op.name)
+                self.oracle.torn.add(op.name)
         try:
             fs = FSD.mount(self.disk, **self.mount_kwargs)
         except (DegradedVolumeError, CorruptMetadata) as error:
+            fs = None
             self._volume_lost = True
             self._lost_reason = str(error)
-            self.honesty_flag = True
+            self.oracle.honesty_flag = True
             self.obs.count("chaos.volume_lost")
-            self._recoveries.append(
-                {
-                    "at_ms": at_ms,
-                    "recover_ms": clock.now_ms - at_ms,
-                    "mounted": 0,
-                    "records_replayed": 0,
-                }
-            )
-            for client in interrupted:
-                self._resolve_lost(client)
-            return
-        self._rebind(fs)
         self._recoveries.append(
             {
                 "at_ms": at_ms,
                 "recover_ms": clock.now_ms - at_ms,
-                "mounted": 1,
-                "records_replayed": fs.mount_report.log_records_replayed,
+                "mounted": int(fs is not None),
+                "records_replayed": (
+                    fs.mount_report.log_records_replayed if fs else 0
+                ),
             }
         )
-        try:
-            self._leader_addrs = {
-                (props.name, props.version): props.leader_addr
-                for props in fs.list()
-            }
-        except (FsError, DiskError):
-            self._leader_addrs = {}
+        if fs is None:
+            for client in interrupted:
+                self._resolve_lost(client)
+            return
+        self.fs = fs
+        self.adapter = FsdAdapter(fs)
+        if self.recorder is not None:
+            self.recorder.bind(fs)
+        self.oracle.remounted(fs)
         if isinstance(self.disk, MirroredDisk) and self.disk.degraded:
             self._schedule(
                 clock.now_ms + self.chaos.resilver_delay_ms,
@@ -485,22 +489,9 @@ class ChaosEngine(TrafficEngine):
         # Re-drive every interrupted client through the contract: the
         # crash is a retryable, *typed* failure, never a hang.
         for client in interrupted:
-            op = client.ops[client.index]
-            error = NotMounted("crash interrupted the operation")
-            if not self._op_failed(client, op, error):
-                self._finish(
-                    client, op, clock.now_ms - client.issue_ms
-                )
-
-    def _rebind(self, fs: FSD) -> None:
-        self.fs = fs
-        self.adapter = FsdAdapter(fs)
-        if self.recorder is not None:
-            self.recorder.bind(fs)
-        fs.coordinator.add_commit_hook(self._commit_hook)
-        report = fs.mount_report
-        if report.log_damage or report.log_records_lost or fs.degraded:
-            self.honesty_flag = True
+            self._fail_inflight(
+                client, NotMounted("crash interrupted the operation")
+            )
 
     # ------------------------------------------------------------------
     # availability reporting
@@ -690,9 +681,7 @@ class ChaosReport:
                 f"({recovery['records_replayed']} records), "
                 f"SLO back in {ttr_text}"
             )
-        for event in (self.traffic.get("availability") or {}).get(
-            "mirror", []
-        ):
+        for event in avail.get("mirror", []):
             lines.append(
                 f"  mirror: {event['event']} at {event['at_ms']:.0f} ms"
             )
@@ -701,117 +690,6 @@ class ChaosReport:
         for finding in self.silent_corruptions:
             lines.append(f"SILENT CORRUPTION: {finding}")
         return lines
-
-
-# ----------------------------------------------------------------------
-# final verification (the soak oracle, torn-aware)
-# ----------------------------------------------------------------------
-def _honest_absence(engine: ChaosEngine, name: str) -> bool:
-    return (
-        engine.honesty_flag
-        or engine.uncommitted_touches(name)
-        or name in engine._torn
-    )
-
-
-def _acceptable(engine: ChaosEngine, name: str, got: bytes,
-                want: bytes) -> bool:
-    # An op past the committed watermark died with the final power-off;
-    # like a mid-run crash (the torn set) it leaves unlogged data
-    # sectors half-applied, so the name's content is honestly
-    # indeterminate — the client never saw that op acknowledged as
-    # durable.
-    return (
-        got == want
-        or got in engine.history.get(name, ())
-        or name in engine._torn
-        or engine.uncommitted_touches(name)
-    )
-
-
-def _verify_mounted(fs: FSD, engine: ChaosEngine,
-                    report: ChaosReport) -> None:
-    expected = engine.expected_visible()
-    report.files_expected = len(expected)
-    for name, want in sorted(expected.items()):
-        try:
-            handle = fs.open(name)
-            got = fs.read(handle)
-        except FileNotFound:
-            if _honest_absence(engine, name):
-                report.files_honestly_lost += 1
-            else:
-                report.silent_corruptions.append(
-                    f"committed file {name} vanished from a mount that "
-                    "claims to be healthy"
-                )
-            continue
-        except (DiskError, CorruptMetadata):
-            report.files_honestly_lost += 1
-            continue
-        if _acceptable(engine, name, got, want):
-            report.files_verified += 1
-        else:
-            report.silent_corruptions.append(
-                f"file {name} returned {len(got)} bytes that were "
-                "never written to it"
-            )
-
-
-def _verify_salvage(disk: SimDisk, engine: ChaosEngine,
-                    report: ChaosReport,
-                    params: VolumeParams | None = None) -> None:
-    # params_hint lets salvage locate the layout even when chaos has
-    # destroyed both root-page copies (the worst allowed outcome).
-    try:
-        destination, salvage_report = salvage_volume(disk, params_hint=params)
-    except (DegradedVolumeError, CorruptMetadata) as error:
-        report.silent_corruptions.append(f"salvage failed: {error}")
-        return
-    report.salvage_summary = salvage_report.summary()
-    fs = FSD.mount(destination)
-    expected = engine.expected_visible()
-    if not report.files_expected:
-        report.files_expected = len(expected)
-    for name, want in sorted(expected.items()):
-        try:
-            handle = fs.open(name)
-            got = fs.read(handle)
-        except (FileNotFound, DiskError, CorruptMetadata):
-            report.files_honestly_lost += 1
-            continue
-        if _acceptable(engine, name, got, want):
-            report.files_verified += 1
-        else:
-            report.silent_corruptions.append(
-                f"salvaged file {name} returned {len(got)} bytes that "
-                "were never written to it"
-            )
-    fs.crash()
-
-
-def _classify(disk: SimDisk, engine: ChaosEngine,
-              report: ChaosReport, mount_kwargs: dict) -> None:
-    params = mount_kwargs.get("params")
-    if engine._volume_lost:
-        report.verdict = "salvaged"
-        _verify_salvage(disk, engine, report, params)
-        return
-    try:
-        fs = FSD.mount(disk, **mount_kwargs)
-    except (DegradedVolumeError, CorruptMetadata):
-        report.verdict = "salvaged"
-        engine.honesty_flag = True
-        _verify_salvage(disk, engine, report, params)
-        return
-    mount_report = fs.mount_report
-    if mount_report.log_damage or mount_report.log_records_lost or fs.degraded:
-        engine.honesty_flag = True
-    report.verdict = "degraded" if fs.degraded else "recovered"
-    _verify_mounted(fs, engine, report)
-    fs.crash()
-    if report.verdict == "degraded":
-        _verify_salvage(disk, engine, report, params)
 
 
 # ----------------------------------------------------------------------
@@ -867,7 +745,9 @@ def run_chaos(
         volume_lost=engine._volume_lost,
         traffic=traffic_report.as_dict(),
     )
-    _classify(disk, engine, report, mount_kwargs)
+    engine.oracle.classify(
+        disk, report, mount_kwargs, volume_lost=engine._volume_lost
+    )
     report.fingerprint = fingerprint(disk, obs).as_dict()
     return report
 

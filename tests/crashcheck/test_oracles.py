@@ -60,6 +60,17 @@ class TestNamespaceModel:
             model_apply(stacks, Op("create", "a", bytes([index]), keep=2))
         assert stacks["a"] == [b"\x02", b"\x03"]
 
+    def test_write_replaces_newest_version_content(self):
+        stacks = model_state(
+            [
+                Op("create", "a", b"v1"),
+                Op("create", "a", b"v2"),
+                Op("write", "a", b"V2!"),
+                Op("write", "gone", b"x"),
+            ]
+        )
+        assert stacks == {"a": [b"v1", b"V2!"]}
+
     def test_force_is_a_namespace_noop(self):
         assert model_state([Op("create", "a", b"x"), Op("force")]) == {
             "a": [b"x"]

@@ -25,7 +25,6 @@ from repro.workloads.chaos import (
     ChaosConfig,
     ChaosEngine,
     ChaosReport,
-    _classify,
     chaos_bench_doc,
     run_chaos,
 )
@@ -220,7 +219,9 @@ class TestVolumeLost:
             volume_lost=True,
             traffic=traffic_report.as_dict(),
         )
-        _classify(disk, engine, report, mount_kwargs)
+        engine.oracle.classify(
+            disk, report, mount_kwargs, volume_lost=engine._volume_lost
+        )
         # params_hint lets the salvager locate the layout even with
         # both root copies unreadable.
         assert report.verdict == "salvaged"
