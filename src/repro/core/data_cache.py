@@ -32,6 +32,12 @@ Design rules:
   as adjacent requests and merged by the I/O scheduler
   (:meth:`~repro.disk.sched.IoScheduler.merge_reads`) into a single
   multi-sector transfer — one rotational wait instead of one per page.
+* **One call per extent.**  Demand lookups (:meth:`~DataPageCache.lookup_run`)
+  and fills or write-through (:meth:`~DataPageCache.put_run`) take a
+  contiguous run of addresses.  LRU order, prefetch marks and eviction
+  are kept per address, exactly as a run of single-sector calls would
+  leave them; the counters, the obs counters and gauges and the
+  attribution note are rolled up once per call.
 
 A capacity of zero disables the cache: every lookup misses, nothing is
 stored, and the FSD read path takes its original extent-by-extent
@@ -55,10 +61,8 @@ DEFAULT_DATA_CACHE_PAGES = 256
 #: read that triggers them.
 DEFAULT_READAHEAD_PAGES = 16
 
-#: default sequential-detection states tracked at once; beyond this
-#: the oldest file's state is forgotten (it only costs a missed
-#: prefetch).  Mounts serving many interleaved client streams (the
-#: traffic engine) can raise it via the ``seq_streams`` knob.
+#: sequential-detection states tracked at once; beyond this the oldest
+#: file's state is forgotten (it only costs a missed prefetch).
 _MAX_SEQ_STREAMS = 64
 
 
@@ -68,8 +72,8 @@ class DataPageCache:
     ``capacity_pages == 0`` disables the cache entirely (the
     bit-compatibility mode).  All counters are mirrored to ``obs``
     under ``cache.data.*``; the hit-ratio and read-ahead-accuracy
-    gauges are updated as the counters move so ``repro stats`` can
-    report them without post-processing.
+    gauges are set after each call that moves their counters, so
+    ``repro stats`` can report them without post-processing.
     """
 
     def __init__(
@@ -77,19 +81,15 @@ class DataPageCache:
         capacity_pages: int = 0,
         readahead_pages: int = DEFAULT_READAHEAD_PAGES,
         sector_bytes: int = 512,
-        seq_streams: int = _MAX_SEQ_STREAMS,
         obs=NULL_OBS,
     ):
         if capacity_pages < 0:
             raise ValueError("negative data-cache capacity")
         if readahead_pages < 0:
             raise ValueError("negative read-ahead window")
-        if seq_streams < 1:
-            raise ValueError("need at least one sequential stream slot")
         self.capacity = capacity_pages
         self.readahead_pages = readahead_pages
         self.sector_bytes = sector_bytes
-        self.seq_streams = seq_streams
         self.obs = obs
         self._pages: OrderedDict[int, bytes] = OrderedDict()
         #: addresses prefetched by read-ahead and not yet demanded.
@@ -116,67 +116,105 @@ class DataPageCache:
         return len(self._pages)
 
     # ------------------------------------------------------------------
-    # lookups and population
+    # lookups and population, one contiguous extent per call
     # ------------------------------------------------------------------
-    def lookup(self, address: int) -> bytes | None:
-        """A demand lookup: counts a hit or miss, tracks read-ahead
-        accuracy, and refreshes LRU position on a hit."""
+    def lookup_run(self, start: int, count: int) -> list[bytes | None]:
+        """Demand lookups of ``count`` sectors from ``start``: one entry
+        per address, in address order — the cached image, or ``None``
+        on a miss.  Each hit refreshes its LRU position and turns a
+        prefetched page into a used one; the counters (and the
+        attribution note) are summed over the call, and the gauges are
+        set once after them."""
         if not self.enabled:
-            return None
-        data = self._pages.get(address)
-        recorder = getattr(self.obs, "attribution", None)
+            return [None] * count
+        pages = self._pages
+        get = pages.get
+        refresh = pages.move_to_end
+        prefetched = self._prefetched
+        found: list[bytes | None] = []
+        hits = used = 0
+        for address in range(start, start + count):
+            data = get(address)
+            if data is not None:
+                hits += 1
+                refresh(address)
+                if address in prefetched:
+                    prefetched.discard(address)
+                    used += 1
+            found.append(data)
+        misses = count - hits
+        obs = self.obs
+        recorder = getattr(obs, "attribution", None)
         if recorder is not None:
-            recorder.note_cache(hit=data is not None)
-        if data is None:
-            self.misses += 1
-            self.obs.count("cache.data.misses")
-        else:
-            self.hits += 1
-            self.obs.count("cache.data.hits")
-            self._pages.move_to_end(address)
-            if address in self._prefetched:
-                self._prefetched.discard(address)
-                self.readahead_used += 1
-                self.obs.count("cache.data.readahead_used")
+            recorder.note_cache(hits, misses)
+        if hits:
+            self.hits += hits
+            obs.count("cache.data.hits", hits)
+        if misses:
+            self.misses += misses
+            obs.count("cache.data.misses", misses)
+        if used:
+            self.readahead_used += used
+            obs.count("cache.data.readahead_used", used)
+        if obs.enabled and count:
+            if used:
                 self._update_accuracy()
-        self._update_ratio()
-        return data
+            self._update_ratio()
+        return found
 
     def contains(self, address: int) -> bool:
         """Presence probe for read-ahead planning (no hit/miss count,
         no LRU effect)."""
         return address in self._pages
 
-    def put(
+    def put_run(
         self,
-        address: int,
-        data: bytes,
-        prefetched: bool = False,
+        start: int,
+        sectors: list[bytes],
         uid: int | None = None,
+        prefetch=(),
     ) -> None:
-        """Insert one sector image (padded to the sector size, exactly
-        as it lies on the platter).  ``uid`` records which file the
-        sector belongs to, feeding the per-file invalidation index."""
+        """Insert the sector images of one extent from ``start`` (each
+        padded to the sector size, exactly as it lies on the platter).
+        ``uid`` records which file the sectors belong to, feeding the
+        per-file invalidation index; addresses in ``prefetch`` are
+        marked as read-ahead, all others as demanded.  Eviction runs
+        after every insert, as a run of single puts would: re-putting a
+        page at the LRU front must not make it a victim."""
         if not self.enabled:
             return
-        if len(data) < self.sector_bytes:
-            data = data + b"\x00" * (self.sector_bytes - len(data))
-        self._pages[address] = bytes(data)
-        self._pages.move_to_end(address)
-        self._set_owner(address, uid)
-        if prefetched:
-            self._prefetched.add(address)
-            self.readahead_issued += 1
-            self.obs.count("cache.data.readahead_issued")
-            self._update_accuracy()
-        else:
-            self._prefetched.discard(address)
-        while len(self._pages) > self.capacity:
-            victim, _ = self._pages.popitem(last=False)
-            self._prefetched.discard(victim)
-            self._set_owner(victim, None)
-            self.evictions += 1
-            self.obs.count("cache.data.evictions")
+        pages = self._pages
+        prefetched = self._prefetched
+        owner = self._owner
+        capacity = self.capacity
+        size = self.sector_bytes
+        issued = evicted = 0
+        for address, data in enumerate(sectors, start):
+            if len(data) < size:
+                data = data + b"\x00" * (size - len(data))
+            pages[address] = bytes(data)
+            pages.move_to_end(address)
+            if owner.get(address) != uid:
+                self._set_owner(address, uid)
+            if address in prefetch:
+                prefetched.add(address)
+                issued += 1
+            else:
+                prefetched.discard(address)
+            while len(pages) > capacity:
+                victim, _ = pages.popitem(last=False)
+                prefetched.discard(victim)
+                self._set_owner(victim, None)
+                evicted += 1
+        obs = self.obs
+        if issued:
+            self.readahead_issued += issued
+            obs.count("cache.data.readahead_issued", issued)
+            if obs.enabled:
+                self._update_accuracy()
+        if evicted:
+            self.evictions += evicted
+            obs.count("cache.data.evictions", evicted)
 
     def _set_owner(self, address: int, uid: int | None) -> None:
         previous = self._owner.pop(address, None)
@@ -203,7 +241,7 @@ class DataPageCache:
         sequential = self._seq.get(uid) == first_page and first_page > 0
         self._seq[uid] = first_page + page_count
         self._seq.move_to_end(uid)
-        while len(self._seq) > self.seq_streams:
+        while len(self._seq) > _MAX_SEQ_STREAMS:
             self._seq.popitem(last=False)
         return sequential
 

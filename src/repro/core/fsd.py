@@ -813,11 +813,11 @@ class FSD:
         if page * sector_bytes >= old_size:
             return b"\x00" * sector_bytes
         address = handle.runs.sector_of_page(page)
-        cached = self.data_cache.lookup(address)
+        cached = self.data_cache.lookup_run(address, 1)[0]
         if cached is not None:
             return cached
         data = self._ladder_read(address, 1)[0]
-        self.data_cache.put(address, data, uid=handle.props.uid)
+        self.data_cache.put_run(address, [data], handle.props.uid)
         return data
 
     def _write_extent(
@@ -844,22 +844,15 @@ class FSD:
                     leader_addr, [pending, *chunk], cpu_overlap=True
                 )
                 self.cache.note_leader_home(leader_addr)
-                self._populate_cache(start, chunk, handle.props.uid)
+                # write-through: the platter copy just written is also
+                # the freshest cacheable image
+                self.data_cache.put_run(start, chunk, handle.props.uid)
                 cursor = len(chunk)
         while cursor < len(sectors):
             chunk = sectors[cursor : cursor + max_io]
             self.io.write(start + cursor, chunk, cpu_overlap=True)
-            self._populate_cache(start + cursor, chunk, handle.props.uid)
+            self.data_cache.put_run(start + cursor, chunk, handle.props.uid)
             cursor += len(chunk)
-
-    def _populate_cache(
-        self, address: int, sectors: list[bytes], uid: int | None = None
-    ) -> None:
-        """Write-through population: the platter copy just written is
-        also the freshest cacheable image."""
-        if self.data_cache.capacity > 0:
-            for offset, sector in enumerate(sectors):
-                self.data_cache.put(address + offset, sector, uid=uid)
 
     def _read_pages_cached(
         self, handle: FsdFile, first_page: int, page_count: int
@@ -869,31 +862,35 @@ class FSD:
         scheduler-merged transfers (one rotational wait per contiguous
         span instead of one per extent)."""
         dc = self.data_cache
-        addresses: list[int] = []
-        for extent in handle.runs.extents_for(first_page, page_count):
-            addresses.extend(range(extent.start, extent.end))
-        position_of = {
-            address: position for position, address in enumerate(addresses)
-        }
-        out: dict[int, bytes] = {}
+        found: list[bytes | None] = []
+        # position in ``found`` of each missed address
+        missing: dict[int, int] = {}
         requests: list[list[int]] = []
-        for position, address in enumerate(addresses):
-            data = dc.lookup(address)
-            if data is not None:
-                out[position] = data
-            elif requests and requests[-1][0] + requests[-1][1] == address:
-                requests[-1][1] += 1
-            else:
-                requests.append([address, 1])
+        for extent in handle.runs.extents_for(first_page, page_count):
+            looked = dc.lookup_run(extent.start, extent.count)
+            if None in looked:
+                base = len(found)
+                for offset, data in enumerate(looked):
+                    if data is not None:
+                        continue
+                    address = extent.start + offset
+                    missing[address] = base + offset
+                    if requests and requests[-1][0] + requests[-1][1] == address:
+                        requests[-1][1] += 1
+                    else:
+                        requests.append([address, 1])
+            found.extend(looked)
 
         ra: tuple[int, int] | None = None
         if dc.note_read(handle.props.uid, first_page, page_count):
             ra = self._plan_readahead(handle, first_page + page_count)
         if ra is not None:
             requests.append(list(ra))
-        ra_addresses = (
-            set(range(ra[0], ra[0] + ra[1])) if ra is not None else set()
-        )
+        if not requests:
+            return found
+        # Read-ahead pages lie past the demanded pages, so no address is
+        # both demanded and prefetched.
+        ra_addresses = range(ra[0], ra[0] + ra[1]) if ra is not None else range(0)
 
         # Paper §5.7: piggyback the leader check onto the first data
         # transfer when the data run directly follows an unverified,
@@ -902,7 +899,6 @@ class FSD:
         if (
             not handle.leader_verified
             and first_page == 0
-            and requests
             and requests[0][0] == leader_addr + 1
             and self.cache.leader_pending_piggyback(leader_addr) is None
         ):
@@ -930,41 +926,38 @@ class FSD:
                         self._ladder_read(
                             sub_address, sub_count, cpu_overlap=True
                         ),
-                        position_of,
-                        out,
+                        missing,
+                        found,
                         ra_addresses,
                     )
                 continue
             self._consume_read(
-                handle, address, sectors, position_of, out, ra_addresses
+                handle, address, sectors, missing, found, ra_addresses
             )
-        return [out[position] for position in range(len(addresses))]
+        return found
 
     def _consume_read(
         self,
         handle: FsdFile,
         start: int,
         sectors: list[bytes],
-        position_of: dict[int, int],
-        out: dict[int, bytes],
-        ra_addresses: set[int],
+        missing: dict[int, int],
+        found: list[bytes | None],
+        ra_addresses: range,
     ) -> None:
         """File one transfer's sectors into the cache and the result."""
-        for offset, data in enumerate(sectors):
-            address = start + offset
-            if address == handle.props.leader_addr:
-                self._check_leader_bytes(handle, data)
-                self.ops.leader_piggyback_reads += 1
-                continue
-            position = position_of.get(address)
-            self.data_cache.put(
-                address,
-                data,
-                prefetched=position is None and address in ra_addresses,
-                uid=handle.props.uid,
-            )
+        if start == handle.props.leader_addr:
+            self._check_leader_bytes(handle, sectors[0])
+            self.ops.leader_piggyback_reads += 1
+            start += 1
+            sectors = sectors[1:]
+        self.data_cache.put_run(
+            start, sectors, handle.props.uid, prefetch=ra_addresses
+        )
+        for address, data in enumerate(sectors, start):
+            position = missing.get(address)
             if position is not None:
-                out[position] = data
+                found[position] = data
 
     def _plan_readahead(
         self, handle: FsdFile, next_page: int

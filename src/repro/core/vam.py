@@ -13,6 +13,8 @@ so they first enter a *shadow bitmap*; when a group commit succeeds,
 
 from __future__ import annotations
 
+import re
+
 from repro.core.layout import VolumeLayout
 from repro.core.types import Run
 from repro.disk.disk import SimDisk
@@ -24,6 +26,24 @@ from repro.serial import Packer, Unpacker, checksum
 _VAM_MAGIC = 0x56414D31  # "VAM1"
 
 _FULL_BYTE = 0xFF
+
+#: one bitmap byte with a free sector in it.
+_NOT_FULL = re.compile(rb"[^\xff]")
+
+
+def _last_not_full(bits: bytearray, lo: int, hi: int) -> int | None:
+    """Index of the last byte in ``bits[lo:hi]`` with a free sector,
+    or None.  Windows double as they move down, so a free byte near
+    ``hi`` costs a short copy and a long full stretch a few."""
+    span = 64
+    while hi > lo:
+        base = max(lo, hi - span)
+        kept = len(bits[base:hi].rstrip(b"\xff"))
+        if kept:
+            return base + kept - 1
+        hi = base
+        span *= 2
+    return None
 
 
 class VolumeAllocationMap:
@@ -191,22 +211,37 @@ class VolumeAllocationMap:
 
     def _next_free(self, start: int, stop: int, step: int) -> int | None:
         """First free sector scanning from ``start`` toward ``stop``
-        (exclusive), skipping fully allocated bytes quickly."""
+        (exclusive).  Runs of fully allocated bytes are skipped by a
+        C-level search: a regex for the first non-full byte ascending,
+        ``rstrip`` over the window descending."""
         sector = start
         bits = self._bits
-        while (step > 0 and sector < stop) or (step < 0 and sector > stop):
+        if step > 0:
+            while sector < stop:
+                byte_index = sector >> 3
+                byte = bits[byte_index]
+                if byte == _FULL_BYTE:
+                    found = _NOT_FULL.search(bits, byte_index + 1, (stop + 7) >> 3)
+                    if found is None:
+                        return None
+                    sector = found.start() << 3
+                    continue
+                if not byte & (1 << (sector & 7)):
+                    return sector
+                sector += 1
+            return None
+        while sector > stop:
             byte_index = sector >> 3
             byte = bits[byte_index]
             if byte == _FULL_BYTE:
-                # Skip the whole byte.
-                if step > 0:
-                    sector = (byte_index + 1) << 3
-                else:
-                    sector = (byte_index << 3) - 1
+                below = _last_not_full(bits, (stop + 1) >> 3, byte_index)
+                if below is None:
+                    return None
+                sector = (below << 3) + 7
                 continue
             if not byte & (1 << (sector & 7)):
                 return sector
-            sector += step
+            sector -= 1
         return None
 
     # ------------------------------------------------------------------

@@ -386,15 +386,14 @@ class AttributionRecorder:
             if trace.trace_id == trace_id:
                 trace.queue_wait_ms += max(0.0, wait_ms)
 
-    def note_cache(self, hit: bool) -> None:
-        """A data-cache demand lookup inside the current body."""
+    def note_cache(self, hits: int, misses: int) -> None:
+        """One data-cache demand lookup call inside the current body:
+        ``hits`` and ``misses`` over the extent it looked up."""
         trace = self.current
         if trace is None:
             return
-        if hit:
-            trace.cache_hits += 1
-        else:
-            trace.cache_misses += 1
+        trace.cache_hits += hits
+        trace.cache_misses += misses
 
     def force_begin(self, now_ms: float) -> None:
         """A group-commit force started writing its batch."""

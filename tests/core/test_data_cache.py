@@ -4,7 +4,10 @@ crash replay, read-ahead racing a write)."""
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.data_cache import DataPageCache
 from repro.core.fsd import FSD
@@ -38,27 +41,25 @@ class TestUnit:
     def test_disabled_cache_is_inert(self):
         dc = DataPageCache(capacity_pages=0)
         assert not dc.enabled
-        dc.put(7, b"x" * SECTOR)
-        assert dc.lookup(7) is None
+        dc.put_run(7, [b"x" * SECTOR])
+        assert dc.lookup_run(7, 2) == [None, None]
         assert dc.hits == 0 and dc.misses == 0
         assert not dc.note_read(1, 1, 1)
 
     def test_lookup_counts_and_lru_eviction(self):
         dc = DataPageCache(capacity_pages=2)
-        dc.put(1, b"a" * SECTOR)
-        dc.put(2, b"b" * SECTOR)
-        assert dc.lookup(1) == b"a" * SECTOR  # 1 is now most recent
-        dc.put(3, b"c" * SECTOR)              # evicts 2, not 1
-        assert dc.lookup(2) is None
-        assert dc.lookup(1) is not None
+        dc.put_run(1, [b"a" * SECTOR, b"b" * SECTOR])
+        assert dc.lookup_run(1, 1) == [b"a" * SECTOR]  # 1 is now most recent
+        dc.put_run(3, [b"c" * SECTOR])                 # evicts 2, not 1
+        assert dc.lookup_run(1, 2) == [b"a" * SECTOR, None]
         assert dc.evictions == 1
         assert dc.hits == 2 and dc.misses == 1
         assert dc.hit_ratio == pytest.approx(2 / 3)
 
     def test_short_sector_padded(self):
         dc = DataPageCache(capacity_pages=4, sector_bytes=SECTOR)
-        dc.put(9, b"tail")
-        assert dc.lookup(9) == b"tail" + b"\x00" * (SECTOR - 4)
+        dc.put_run(9, [b"tail"])
+        assert dc.lookup_run(9, 1) == [b"tail" + b"\x00" * (SECTOR - 4)]
 
     def test_sequential_detection(self):
         dc = DataPageCache(capacity_pages=4)
@@ -71,23 +72,22 @@ class TestUnit:
 
     def test_readahead_accuracy_tracking(self):
         dc = DataPageCache(capacity_pages=8)
-        dc.put(1, b"x" * SECTOR, prefetched=True)
-        dc.put(2, b"y" * SECTOR, prefetched=True)
+        dc.put_run(0, [b"w" * SECTOR, b"x" * SECTOR, b"y" * SECTOR],
+                   prefetch=range(1, 3))
         assert dc.readahead_issued == 2
-        assert dc.lookup(1) is not None
+        assert dc.lookup_run(0, 2)[1] is not None
         assert dc.readahead_used == 1
         assert dc.readahead_accuracy == pytest.approx(0.5)
         # a second demand hit on the same page counts once
-        assert dc.lookup(1) is not None
+        assert dc.lookup_run(1, 1)[0] is not None
         assert dc.readahead_used == 1
 
     def test_invalidate_and_discard(self):
         dc = DataPageCache(capacity_pages=8)
-        for address in range(4):
-            dc.put(address, bytes([address]) * SECTOR)
+        dc.put_run(0, [bytes([address]) * SECTOR for address in range(4)])
         assert dc.invalidate(1, 2) == 2
-        assert dc.lookup(1) is None and dc.lookup(2) is None
-        assert dc.lookup(0) is not None
+        assert dc.lookup_run(0, 3)[0] is not None
+        assert dc.lookup_run(1, 2) == [None, None]
         dc.discard_all()
         assert len(dc) == 0
 
@@ -96,6 +96,151 @@ class TestUnit:
             DataPageCache(capacity_pages=-1)
         with pytest.raises(ValueError):
             DataPageCache(capacity_pages=4, readahead_pages=-1)
+
+
+# ----------------------------------------------------------------------
+# the extent API against a per-address reference
+# ----------------------------------------------------------------------
+class ReferenceCache:
+    """The cache as a sequence of single-sector demand lookups and
+    inserts, each doing its own bookkeeping and eviction: what one
+    ``lookup_run``/``put_run`` call must reproduce exactly."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.pages: OrderedDict[int, bytes] = OrderedDict()
+        self.prefetched: set[int] = set()
+        self.owner: dict[int, int] = {}
+        self.hits = self.misses = self.evictions = 0
+        self.readahead_issued = self.readahead_used = 0
+
+    def lookup(self, address: int) -> bytes | None:
+        data = self.pages.get(address)
+        if data is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.pages.move_to_end(address)
+        if address in self.prefetched:
+            self.prefetched.discard(address)
+            self.readahead_used += 1
+        return data
+
+    def put(self, address: int, data: bytes, prefetched: bool, uid) -> None:
+        self.pages[address] = data.ljust(SECTOR, b"\x00")
+        self.pages.move_to_end(address)
+        self.owner.pop(address, None)
+        if uid is not None:
+            self.owner[address] = uid
+        if prefetched:
+            self.prefetched.add(address)
+            self.readahead_issued += 1
+        else:
+            self.prefetched.discard(address)
+        while len(self.pages) > self.capacity:
+            victim, _ = self.pages.popitem(last=False)
+            self.prefetched.discard(victim)
+            self.owner.pop(victim, None)
+            self.evictions += 1
+
+    def invalidate(self, address: int, count: int) -> int:
+        dropped = 0
+        for victim in range(address, address + count):
+            dropped += self.pages.pop(victim, None) is not None
+            self.prefetched.discard(victim)
+            self.owner.pop(victim, None)
+        return dropped
+
+    def invalidate_file(self, uid: int) -> int:
+        owned = [a for a, owner in self.owner.items() if owner == uid]
+        return sum(self.invalidate(address, 1) for address in owned)
+
+
+def assert_same_state(dc: DataPageCache, ref: ReferenceCache) -> None:
+    assert list(dc._pages.items()) == list(ref.pages.items())  # LRU order
+    assert dc._prefetched == ref.prefetched
+    assert dc._owner == ref.owner
+    by_uid: dict[int, set[int]] = {}
+    for address, uid in ref.owner.items():
+        by_uid.setdefault(uid, set()).add(address)
+    assert dc._by_uid == by_uid
+    for name in ("hits", "misses", "evictions", "readahead_issued",
+                 "readahead_used"):
+        assert getattr(dc, name) == getattr(ref, name), name
+
+
+ADDRESS = st.integers(min_value=0, max_value=40)
+UID = st.sampled_from([None, 1, 2, 3])
+CACHE_OPS = st.one_of(
+    st.tuples(st.just("lookup"), ADDRESS, st.integers(1, 12)),
+    st.tuples(
+        st.just("put"), ADDRESS, st.integers(1, 12), UID,
+        st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        st.binary(max_size=SECTOR),
+    ),
+    st.tuples(st.just("invalidate"), ADDRESS, st.integers(1, 6)),
+    st.tuples(st.just("invalidate_file"), UID.filter(bool)),
+)
+
+
+class TestExtentApi:
+    @given(capacity=st.integers(1, 16), ops=st.lists(CACHE_OPS, max_size=40))
+    def test_runs_match_per_address_reference(self, capacity, ops):
+        dc = DataPageCache(capacity_pages=capacity, sector_bytes=SECTOR)
+        ref = ReferenceCache(capacity)
+        for op in ops:
+            kind, *args = op
+            if kind == "lookup":
+                start, count = args
+                expected = [ref.lookup(a) for a in range(start, start + count)]
+                assert dc.lookup_run(start, count) == expected
+            elif kind == "put":
+                start, count, uid, (skip, span), stem = args
+                sectors = [stem + bytes([i]) for i in range(count)]
+                sectors = [sector[:SECTOR] for sector in sectors]
+                prefetch = range(start + skip, start + skip + span)
+                dc.put_run(start, sectors, uid, prefetch=prefetch)
+                for address, data in enumerate(sectors, start):
+                    ref.put(address, data, address in prefetch, uid)
+            elif kind == "invalidate":
+                assert dc.invalidate(*args) == ref.invalidate(*args)
+            else:
+                assert dc.invalidate_file(*args) == ref.invalidate_file(*args)
+            assert_same_state(dc, ref)
+
+    def test_reput_of_lru_front_evicts_per_insert(self):
+        dc = DataPageCache(capacity_pages=3, sector_bytes=SECTOR)
+        ref = ReferenceCache(3)
+        for cache in (dc, ref):
+            for address in (1, 2, 3):
+                if cache is dc:
+                    dc.put_run(address, [b"old"])
+                else:
+                    ref.put(address, b"old", False, None)
+        # inserting 0 evicts 1, the LRU front; re-putting 1 then evicts
+        # 2 — one eviction at the end of the batch would keep 2 instead
+        dc.put_run(0, [b"new", b"new"], uid=7)
+        ref.put(0, b"new", False, 7)
+        ref.put(1, b"new", False, 7)
+        assert list(dc._pages) == [3, 0, 1]
+        assert dc.evictions == 2
+        assert_same_state(dc, ref)
+
+    def test_counters_roll_up_per_call(self):
+        from repro.obs import Observer
+
+        obs = Observer()
+        dc = DataPageCache(capacity_pages=8, sector_bytes=SECTOR, obs=obs)
+        dc.put_run(0, [b"x"] * 4, prefetch=range(2, 4))
+        dc.lookup_run(0, 6)
+        snap = obs.snapshot()
+        assert snap.counters["cache.data.hits"] == 4
+        assert snap.counters["cache.data.misses"] == 2
+        assert snap.counters["cache.data.readahead_issued"] == 2
+        assert snap.counters["cache.data.readahead_used"] == 2
+        # the gauges read the counters after the call's roll-up
+        assert snap.gauges["cache.data.hit_ratio"] == pytest.approx(4 / 6, abs=1e-4)
+        assert snap.gauges["cache.data.readahead_accuracy"] == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.layout import VolumeLayout, VolumeParams
 from repro.core.types import Run
@@ -136,6 +136,40 @@ class TestFindFreeRun:
                     assert run.end == 256 or not vam.is_free(run.end)
                 else:
                     assert run.start == 0 or not vam.is_free(run.start - 1)
+
+    @settings(max_examples=300)
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=1, max_value=600),
+        ascending=st.booleans(),
+    )
+    def test_next_free_matches_per_sector_scan(self, data, size, ascending):
+        # a fully allocated bitmap with a few free sectors, searched
+        # over windows whose edges often sit right at a free sector
+        sectors = size * 8
+        free = data.draw(
+            st.lists(st.integers(0, sectors - 1), max_size=4), label="free"
+        )
+        bits = bytearray(b"\xff" * size)
+        for sector in free:
+            bits[sector >> 3] &= ~(1 << (sector & 7))
+        vam = VolumeAllocationMap(sectors)
+        vam._bits = bits
+        edges = sorted({0, sectors, *free, *(f + 1 for f in free)})
+        bound = st.one_of(st.sampled_from(edges), st.integers(0, sectors))
+        lo, hi = sorted((data.draw(bound, "lo"), data.draw(bound, "hi")))
+
+        def is_free(sector):
+            return not bits[sector >> 3] & (1 << (sector & 7))
+
+        if ascending:
+            expected = next((s for s in range(lo, hi) if is_free(s)), None)
+            assert vam._next_free(lo, hi, step=1) == expected
+        else:
+            expected = next(
+                (s for s in range(hi - 1, lo - 1, -1) if is_free(s)), None
+            )
+            assert vam._next_free(hi - 1, lo - 1, step=-1) == expected
 
 
 class TestSaveLoad:

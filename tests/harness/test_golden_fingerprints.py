@@ -1,9 +1,9 @@
 """Golden fingerprints: simulated behaviour is bit-identical to the
 committed reference.
 
-``tests/golden/fingerprints.json`` holds the makedo, traffic@1000 and
-default-chaos fingerprints (simulated clock, disk image digest, metrics
-digest, disk statistics).  A change that claims to leave simulated
+``tests/golden/fingerprints.json`` holds the makedo, traffic@1000,
+default-chaos and cached-traffic fingerprints (simulated clock, disk
+image digest, metrics digest, disk statistics).  A change that claims to leave simulated
 behaviour alone must reproduce it byte for byte.  The only way to
 regenerate it is
 

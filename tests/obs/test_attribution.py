@@ -105,12 +105,12 @@ class TestRecorderLifecycle:
     def test_note_cache_only_inside_a_body(self):
         recorder = AttributionRecorder(clock=_FakeClock())
         trace = recorder.op_issued(0, _FakeOp, 0.0)
-        recorder.note_cache(hit=True)  # no current body: dropped
+        recorder.note_cache(hits=1, misses=0)  # no current body: dropped
         with recorder.measure(trace):
-            recorder.note_cache(hit=True)
-            recorder.note_cache(hit=False)
-        assert trace.cache_hits == 1
-        assert trace.cache_misses == 1
+            recorder.note_cache(hits=3, misses=1)
+            recorder.note_cache(hits=0, misses=2)
+        assert trace.cache_hits == 3
+        assert trace.cache_misses == 3
 
     def test_note_queue_wait_indexes_by_trace_id(self):
         recorder = AttributionRecorder(clock=_FakeClock())
